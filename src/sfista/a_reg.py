@@ -16,8 +16,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CompositeProblem, OracleCounters, eval_phi
-from .rpf_sfista import SfistaConfig, SfistaOutput, solve_sfista
+from .core import CompositeProblem, OracleCounters, check_start, eval_phi
+from .rpf_sfista import SfistaConfig, SfistaOutput, _clamp_m_lower, solve_sfista
 
 __all__ = [
     "ARegConfig",
@@ -117,9 +117,7 @@ def solve_areg(
     problem: CompositeProblem, config: ARegConfig, theta0: np.ndarray
 ) -> ARegOutput:
     """Run the regularization outer loop from theta0 in dom h."""
-    theta0 = problem.check_dim(theta0)
-    if math.isinf(float(problem.h_eval(theta0))):
-        raise ValueError("theta0 is infeasible: h(theta0) = +inf")
+    theta0 = check_start(problem, theta0, "theta0")
 
     start = time.monotonic()
     counters = OracleCounters()
@@ -129,7 +127,6 @@ def solve_areg(
     delta = config.delta0
     theta = theta0
     N_bar_prev = config.N0
-    N_bar0 = config.N0
     status = "iter_cap"
     w = theta0
     r = np.full(problem.dim, math.inf)
@@ -140,13 +137,8 @@ def solve_areg(
             status = "time_cap"
             break
 
-        if k == 1:
-            N_lower = N_bar0
-        else:
-            lo = max(0.25 * N_bar_prev, N_bar0)
-            hi = N_bar_prev
-            N_lower = hi if lo > hi else min(max(config.N_reuse_factor * N_bar_prev, lo), hi)
-
+        # N_bar_prev = N0 at k = 1, where the clamp returns exactly N0
+        N_lower = _clamp_m_lower(config.N_reuse_factor * N_bar_prev, N_bar_prev, config.N0)
         sub = build_subproblem(problem, delta, theta)
         inner_cfg = replace(
             config.inner,
@@ -160,8 +152,9 @@ def solve_areg(
         inner_outputs.append(out)
         counters.merge(out.counters)
 
-        w, u, theta_next, N_bar = out.y, out.v, out.xi, out.L_final
+        w, u = out.y, out.v
         r = outer_residual(u, delta, theta, w)
+        theta = out.xi
         trace.append(ARegTraceRow(
             k=k, delta=delta, u_norm=float(np.linalg.norm(u)),
             r_norm=float(np.linalg.norm(r)),
@@ -170,15 +163,12 @@ def solve_areg(
 
         if out.status != "converged":
             status = out.status
-            theta = theta_next
             break
         if float(np.linalg.norm(r)) <= config.eps:
             status = "converged"
-            theta = theta_next
             break
 
-        theta = theta_next
-        N_bar_prev = N_bar
+        N_bar_prev = out.L_final
         delta = delta / 2.0
 
     return ARegOutput(

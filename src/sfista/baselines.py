@@ -2,8 +2,10 @@
 
 All four methods share the problem abstraction, the oracle-counting rules
 (one prox per line-search attempt), and the termination rule of the
-benchmark, so iteration and runtime comparisons against the restarted
-solver are apples-to-apples.
+benchmark, and the two backtracking variants run the restarted solver's own
+line search (`core.line_search`, with doubling in place of beta), so
+iteration and runtime comparisons against the restarted solver are
+apples-to-apples.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CompositeProblem, CountingOracle
+from .core import (
+    CompositeProblem,
+    CountingOracle,
+    check_start,
+    line_search,
+    residual_denominator,
+)
 from .rpf_sfista import SfistaOutput, SfistaTraceRow
 
 __all__ = [
@@ -26,9 +34,6 @@ __all__ = [
     "solve_greedy_fista",
     "gradient_restart_fires",
 ]
-
-_LS_SLACK = 1e-12
-_L_OVERFLOW = 1e30
 
 
 @dataclass
@@ -60,35 +65,11 @@ def gradient_restart_fires(y_prev: np.ndarray, y: np.ndarray, x_tilde: np.ndarra
     return float((y_prev - y) @ (y - x_tilde)) > 0.0
 
 
-def _residual_denominator(problem: CompositeProblem, z0: np.ndarray, mode: str) -> float:
-    if mode == "relative":
-        return 1.0 + float(np.linalg.norm(problem.f_grad(z0)))
-    return 1.0
-
-
-def _line_search(oracle, x_tilde, L, chi):
-    """Doubling line search; returns (y, L, f_y) with L accepted."""
-    g = oracle.grad(x_tilde)
-    f_xt = oracle.f(x_tilde)
-    while True:
-        y = oracle.prox(x_tilde - g / L, 1.0 / L)
-        f_y = oracle.f(y)
-        d = y - x_tilde
-        ell = f_xt + float(g @ d)
-        if ell - f_y + (1.0 - chi) * L * float(d @ d) / 4.0 >= -_LS_SLACK * (1.0 + abs(f_y)):
-            return y, L, f_y, g
-        L *= 2.0
-        if L > _L_OVERFLOW:
-            raise RuntimeError("line search exceeded L = 1e30")
-
-
 def _run_fista_bt(problem, config, z0, restart_on_value):
-    z0 = problem.check_dim(z0)
-    if math.isinf(float(problem.h_eval(z0))):
-        raise ValueError("z0 is infeasible: h(z0) = +inf")
+    z0 = check_start(problem, z0)
     start = time.monotonic()
     oracle = CountingOracle(problem)
-    denom = _residual_denominator(problem, z0, config.residual_mode)
+    denom = residual_denominator(problem, z0, config.residual_mode)
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
 
     L = config.L0
@@ -106,7 +87,9 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
             status = "time_cap"
             break
         j += 1
-        y, L, f_y, g_xt = _line_search(oracle, x_tilde, L, config.chi)
+        # doubling line search from a fixed x_tilde
+        point = (x_tilde, oracle.grad(x_tilde), oracle.f(x_tilde))
+        L, _, g_xt, y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0, config.chi)
         v = oracle.grad(y) - g_xt + L * (x_tilde - y)
         residual = float(np.linalg.norm(v)) / denom
         if trace is not None:
@@ -162,14 +145,12 @@ def _require_L(problem: CompositeProblem) -> float:
 
 
 def _run_fixed_step(problem, config, z0, greedy):
-    z0 = problem.check_dim(z0)
-    if math.isinf(float(problem.h_eval(z0))):
-        raise ValueError("z0 is infeasible: h(z0) = +inf")
+    z0 = check_start(problem, z0)
     start = time.monotonic()
     L_bar = _require_L(problem)
     gamma = (config.greedy_gamma_scale if greedy else 1.0) / L_bar
     oracle = CountingOracle(problem)
-    denom = _residual_denominator(problem, z0, config.residual_mode)
+    denom = residual_denominator(problem, z0, config.residual_mode)
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
 
     t = 1.0

@@ -26,7 +26,7 @@ from .baselines import (
     solve_greedy_fista,
     solve_rada_fista,
 )
-from .core import CompositeProblem
+from .core import relative_denominator
 from .problems import InstanceSpec, make_instance
 from .rpf_sfista import SfistaConfig, solve_sfista
 
@@ -71,7 +71,7 @@ class RunRecord:
 
 def relative_residual(v: np.ndarray, grad_f_z0: np.ndarray) -> float:
     """||v|| / (1 + ||grad f(z0)||)."""
-    return float(np.linalg.norm(v)) / (1.0 + float(np.linalg.norm(grad_f_z0)))
+    return float(np.linalg.norm(v)) / relative_denominator(grad_f_z0)
 
 
 def compute_atr(
@@ -98,8 +98,9 @@ def compute_atr(
 
 
 def _solve_rpf(problem, z0, eps_hat, time_limit):
-    # mu_shrink 0.1 is the practical restart schedule; the 0.5 default in
-    # SfistaConfig is the conservative theory value
+    # mu_shrink 0.1 is the practical restart schedule that `bench run` and
+    # `solve` both use; the 0.5 default in SfistaConfig is the conservative
+    # theory value
     cfg = SfistaConfig(eps_hat=eps_hat, residual_mode="relative",
                        time_limit=time_limit, mu_shrink=0.1)
     return solve_sfista(problem, cfg, z0)

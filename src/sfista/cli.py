@@ -2,7 +2,8 @@
 
 `bench run` executes a method x instance grid and writes a csv or markdown
 table; `bench atr` summarizes an existing csv as an average time ratio;
-`solve` runs one method on a matrix loaded from disk (lasso form).
+`solve` runs one method on a matrix loaded from disk (lasso form).  Both
+commands run the methods of `bench.METHODS`, with the same settings.
 
 A config file is plain `key = value` text whose keys match the long flag
 names (dashes or underscores).  Values from the config file act as defaults;
@@ -12,7 +13,6 @@ flags given explicitly on the command line win.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Dict, List, Optional
 
@@ -27,9 +27,6 @@ from .bench import (
     run_benchmark,
 )
 from .problems import gen_lasso, load_csv_matrix, load_matrix_market
-from .rpf_sfista import SfistaConfig, solve_sfista
-from .baselines import BaselineConfig, solve_fista_bt, solve_fista_restart, \
-    solve_greedy_fista, solve_rada_fista
 
 _FAMILY_ALIASES = {
     "logistic": "logistic",
@@ -94,14 +91,12 @@ def _build_bench_parser():
 
     run_p = sub.add_parser("run", help="run a method x instance grid")
     run_p.add_argument("--family", required=True, choices=sorted(_FAMILY_ALIASES))
-    run_p.add_argument("--preset", default="desk", help="instance grid name")
     run_p.add_argument("--methods", default=",".join(sorted(METHODS)),
                        help="comma-separated method names")
     run_p.add_argument("--eps", type=float, default=1e-8)
     run_p.add_argument("--time-limit", type=float, default=7200.0)
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument("--out", default="results.csv")
-    run_p.add_argument("--trace", default=None, help="directory for per-run traces")
     run_p.add_argument("--format", choices=["csv", "markdown"], default="csv")
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--config", default=None, help="key=value config file")
@@ -123,22 +118,15 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        if args.preset != "desk":
-            parser.error(f"unknown preset {args.preset!r}; available: desk")
         family = _FAMILY_ALIASES[args.family]
         suite = desk_suite(family, seed=int(args.seed))
         methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
         records = run_benchmark(
-            suite, methods, eps_hat=float(args.eps),
-            time_limit=float(args.time_limit), workers=int(args.workers),
+            suite, methods, eps_hat=float(args.eps), time_limit=float(args.time_limit),
+            out_path=args.out, workers=int(args.workers),
         )
-        text = emit_table(records, args.format)
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text if args.format == "csv" else emit_table(records, "csv"))
         if args.format == "markdown":
-            print(text)
-        if args.trace:
-            os.makedirs(args.trace, exist_ok=True)
+            print(emit_table(records, "markdown"))
         print(f"wrote {len(records)} records to {args.out}")
         return 0
 
@@ -187,21 +175,7 @@ def solve_main(argv: Optional[List[str]] = None) -> int:
 
     problem, z0 = gen_lasso(A, b, float(args.c), seed=int(args.seed))
 
-    eps = float(args.eps)
-    limit = float(args.time_limit)
-    if args.method == "rpf-sfista":
-        out = solve_sfista(
-            problem, SfistaConfig(eps_hat=eps, residual_mode="relative", time_limit=limit), z0
-        )
-    else:
-        fn = {
-            "fista-bt": solve_fista_bt,
-            "fista-r": solve_fista_restart,
-            "rada": solve_rada_fista,
-            "greedy": solve_greedy_fista,
-        }[args.method]
-        out = fn(problem, BaselineConfig(eps_hat=eps, residual_mode="relative",
-                                         time_limit=limit), z0)
+    out = METHODS[args.method](problem, z0, float(args.eps), float(args.time_limit))
 
     print(f"status: {out.status}")
     print(f"iterations: {out.total_iters}")

@@ -22,6 +22,11 @@ __all__ = [
     "grad_fd_check",
 ]
 
+# Slack in the line-search acceptance: the two sides cancel to roundoff when
+# the iterates are nearly stationary.
+_LS_SLACK = 1e-12
+_L_OVERFLOW = 1e30
+
 
 @dataclass(frozen=True)
 class CompositeProblem:
@@ -126,3 +131,65 @@ def grad_fd_check(problem: CompositeProblem, z: np.ndarray, step: float) -> floa
         fd = (problem.f_eval(z + e) - problem.f_eval(z - e)) / (2.0 * step)
         worst = max(worst, abs(fd - g[i]))
     return worst
+
+
+def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> np.ndarray:
+    """z0 as a float vector of the problem's dimension, checked to lie in dom h."""
+    z0 = problem.check_dim(z0)
+    if math.isinf(float(problem.h_eval(z0))):
+        raise ValueError(f"{name} is infeasible: h({name}) = +inf")
+    return z0
+
+
+def relative_denominator(grad_f_z0: np.ndarray) -> float:
+    """1 + ||grad f(z0)||, the scale of the relative residual test."""
+    return 1.0 + float(np.linalg.norm(grad_f_z0))
+
+
+def residual_denominator(problem: CompositeProblem, z0: np.ndarray, mode: str) -> float:
+    """Denominator of the residual test: relative_denominator in 'relative' mode, else 1."""
+    if mode == "relative":
+        return relative_denominator(problem.f_grad(z0))
+    return 1.0
+
+
+def line_search(
+    oracle: CountingOracle,
+    trial_point: Callable[[float], tuple],
+    L: float,
+    growth: float,
+    chi: float,
+):
+    """Multiply L by `growth` until y = prox(x_tilde - grad f(x_tilde) / L)
+    satisfies ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y).
+
+    trial_point(L) returns (x_tilde, grad f(x_tilde), f(x_tilde)) for the
+    current L.  Returns (L, x_tilde, grad, y, f(y), ell_f(y; x_tilde)) for the
+    accepted L.  Raises RuntimeError at the first NaN test value, naming the
+    oracle that produced it, and when L passes 1e30.
+    """
+    while True:
+        x_tilde, g, f_xt = trial_point(L)
+        y = oracle.prox(x_tilde - g / L, 1.0 / L)
+        f_y = oracle.f(y)
+        d = y - x_tilde
+        ell = f_xt + float(g @ d)
+        test = ell - f_y + (1.0 - chi) * L * float(d @ d) / 4.0
+        if test >= -_LS_SLACK * (1.0 + abs(f_y)):
+            return L, x_tilde, g, y, f_y, ell
+        if math.isnan(test):
+            raise RuntimeError(_nan_message(g, f_xt, y, f_y))
+        L *= growth
+        if L > _L_OVERFLOW:
+            raise RuntimeError(
+                "line search exceeded L = 1e30; f is not smooth or the oracle is broken"
+            )
+
+
+def _nan_message(g, f_xt, y, f_y) -> str:
+    # outputs in oracle call order, so a NaN is blamed on the first oracle
+    # that produced it rather than on one that merely received it
+    for name, value in (("grad", g), ("f", f_xt), ("prox", y), ("f", f_y)):
+        if np.isnan(value).any():
+            return f"line search: the {name} oracle returned NaN"
+    return "line search: the acceptance test is NaN (an oracle returned inf)"

@@ -37,8 +37,11 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - radius
     ks = np.arange(1, v.size + 1)
-    mask = u - css / ks > 0
-    rho = int(np.nonzero(mask)[0][-1])
+    positive = np.flatnonzero(u - css / ks > 0)
+    if positive.size == 0:
+        # k = 1 always qualifies for a finite v of moderate scale
+        raise ValueError("no positive threshold: v has NaN or infinite entries, or huge ones")
+    rho = int(positive[-1])
     theta = css[rho] / (rho + 1)
     return np.maximum(v - theta, 0.0)
 
@@ -82,6 +85,9 @@ def project_box_hyperplane(
     reach = r * np.abs(a).sum()
     if not (-reach <= b <= reach):
         raise ValueError("feasible set {a'z = b, -r <= z <= r} is empty")
+
+    if not np.isfinite(v).all():
+        raise ValueError("cannot project a vector with NaN or infinite entries")
 
     def g(lam: float) -> float:
         return float(a @ np.clip(v - lam * a, -r, r) - b)

@@ -12,12 +12,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .core import CompositeProblem, CountingOracle, OracleCounters
+from .core import (
+    CompositeProblem,
+    CountingOracle,
+    OracleCounters,
+    check_start,
+    line_search,
+    residual_denominator,
+)
 
 __all__ = [
     "SfistaConfig",
@@ -36,10 +43,6 @@ __all__ = [
 # Guard below which ||y - x_tilde|| is treated as zero (relative to iterate
 # scale): the restart test's right-hand side vanishes and v is near-exact.
 _STATIONARY_RTOL = 1e-14
-# Slack in the line-search acceptance: the two sides cancel to roundoff when
-# the iterates are nearly stationary.
-_LS_SLACK = 1e-12
-_L_OVERFLOW = 1e30
 
 
 @dataclass
@@ -48,9 +51,10 @@ class SfistaConfig:
 
     mu0=None selects the bootstrap estimate computed from the first prox step
     of the first cycle; a positive float fixes the initial estimate.
-    mu_shrink=0.5 matches the theory; 0.1 is the aggressive experimental
-    preset.  residual_mode 'absolute' tests ||v|| <= eps_hat, 'relative'
-    tests ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
+    mu_shrink=0.5 matches the theory and stays the library default; 0.1 is
+    the aggressive practical schedule that the `bench run` and `solve`
+    commands use (`bench.METHODS`).  residual_mode 'absolute' tests
+    ||v|| <= eps_hat, 'relative' tests ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
     beta: float = 1.25
@@ -158,32 +162,32 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
     records (a, x_tilde, y, L) and the quantities needed downstream in the
     state.  Every rejected L consumed one prox evaluation.
     """
-    A, tau, L = state.A, state.tau, state.L
+    A, tau = state.A, state.tau
     x_prev, y_prev = state.x, state.y
-    while True:
+
+    def trial_point(L):
+        # x_tilde moves with L through the step weight a; the last trial's a
+        # is the accepted one
         a = (tau + math.sqrt(tau * tau + 4.0 * tau * A * L)) / (2.0 * L)
+        state.a = a
         x_tilde = (A * y_prev + a * x_prev) / (A + a)
-        g_xt = oracle.grad(x_tilde)
-        f_xt = oracle.f(x_tilde)
-        y = oracle.prox(x_tilde - g_xt / L, 1.0 / L)
-        f_y = oracle.f(y)
-        d = y - x_tilde
-        nd2 = float(d @ d)
-        ell = f_xt + float(g_xt @ d)
-        if ell - f_y + (1.0 - config.chi) * L * nd2 / 4.0 >= -_LS_SLACK * (1.0 + abs(f_y)):
-            break
-        L *= config.beta
-        if L > _L_OVERFLOW:
-            raise RuntimeError(
-                "line search exceeded L = 1e30; f is not smooth or the oracle is broken"
-            )
-    state.a = a
-    state.x_tilde = x_tilde
-    state.grad_x_tilde = g_xt
-    state.L = L
-    state.f_y = f_y
-    state.ell_y = ell
-    return a, x_tilde, y, L
+        return x_tilde, oracle.grad(x_tilde), oracle.f(x_tilde)
+
+    state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y, state.ell_y = line_search(
+        oracle, trial_point, state.L, config.beta, config.chi
+    )
+    return state.a, state.x_tilde, y, state.L
+
+
+def _bootstrap_mu(
+    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, chi: float, fallback: float
+) -> float:
+    """bootstrap_mu0 on values the caller holds, for d = y - x_tilde."""
+    nd2 = float(d @ d)
+    gap = f_y - ell_y
+    if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))) or gap <= 0.0:
+        return fallback
+    return 4.0 * gap / ((1.0 - chi) * nd2)
 
 
 def bootstrap_mu0(
@@ -202,15 +206,8 @@ def bootstrap_mu0(
     y1 = np.asarray(y1, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     d = y1 - x0
-    nd2 = float(d @ d)
-    if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x0))):
-        return fallback
-    gap = float(problem.f_eval(y1)) - (
-        float(problem.f_eval(x0)) + float(np.asarray(problem.f_grad(x0)) @ d)
-    )
-    if gap <= 0.0:
-        return fallback
-    return 4.0 * gap / ((1.0 - chi) * nd2)
+    ell = float(problem.f_eval(x0)) + float(np.asarray(problem.f_grad(x0)) @ d)
+    return _bootstrap_mu(float(problem.f_eval(y1)), ell, d, x0, chi, fallback)
 
 
 def momentum_update(
@@ -293,36 +290,29 @@ def _clamp_m_lower(target: float, M_bar_prev: float, M_bar0: float) -> float:
     return min(max(target, lo), hi)
 
 
+def _cycle_start(cycle: int, L: float, mu: float, z: np.ndarray, phi_z: float) -> SfistaState:
+    """State at j = 1 of a cycle that starts from z with estimates L and mu."""
+    return SfistaState(cycle=cycle, j=1, A=0.0, tau=1.0, L=L, mu=mu,
+                       x=z, y=z, xi=z, x0_cycle=z, phi_xi=phi_z)
+
+
 def solve_sfista(
     problem: CompositeProblem, config: SfistaConfig, z0: np.ndarray
 ) -> SfistaOutput:
     """Run RPF-SFISTA from z0 until the residual test, or a cap, is met."""
-    z0 = problem.check_dim(z0)
-    if math.isinf(float(problem.h_eval(z0))):
-        raise ValueError("z0 is infeasible: h(z0) = +inf")
+    z0 = check_start(problem, z0)
 
     start = time.monotonic()
     oracle = CountingOracle(problem)
-    denom = 1.0
-    if config.residual_mode == "relative":
-        denom = 1.0 + float(np.linalg.norm(problem.f_grad(z0)))
+    denom = residual_denominator(problem, z0, config.residual_mode)
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
     M_bar0 = config.M_lower_init
     mu = config.mu0  # None until bootstrapped
     cycle = 1
-    M_lower = M_bar0
-    z_cycle = z0
-    phi_z = oracle.phi(z0)
     total_iters = 0
+    state = _cycle_start(cycle, M_bar0, math.nan if mu is None else mu, z0, oracle.phi(z0))
 
-    state = SfistaState(
-        cycle=cycle, j=1, A=0.0, tau=1.0, L=M_lower,
-        mu=mu if mu is not None else math.nan,
-        x=z_cycle, y=z_cycle, xi=z_cycle, x0_cycle=z_cycle, phi_xi=phi_z,
-    )
-
-    status = "iter_cap"
     while True:
         if total_iters >= config.max_total_iters:
             status = "iter_cap"
@@ -337,15 +327,8 @@ def solve_sfista(
         if mu is None:
             # a0 and y1 never depend on mu (A0 = 0), so the bootstrap value
             # can be installed right before the first tau/x update.
-            d = y - x_tilde
-            nd2 = float(d @ d)
-            gap = state.f_y - state.ell_y
-            if math.sqrt(nd2) <= _STATIONARY_RTOL * (
-                1.0 + float(np.linalg.norm(x_tilde))
-            ) or gap <= 0.0:
-                mu = config.M_lower_init
-            else:
-                mu = 4.0 * gap / ((1.0 - config.chi) * nd2)
+            mu = _bootstrap_mu(state.f_y, state.ell_y, y - x_tilde, x_tilde,
+                               config.chi, config.M_lower_init)
             state.mu = mu
 
         tau_prev = state.tau
@@ -370,12 +353,7 @@ def solve_sfista(
             mu = config.mu_shrink * mu
             cycle += 1
             M_lower = _clamp_m_lower(config.M_reuse_factor * M_bar, M_bar, M_bar0)
-            z_cycle = state.xi
-            state = SfistaState(
-                cycle=cycle, j=1, A=0.0, tau=1.0, L=M_lower, mu=mu,
-                x=z_cycle, y=z_cycle, xi=z_cycle, x0_cycle=z_cycle,
-                phi_xi=state.phi_xi,
-            )
+            state = _cycle_start(cycle, M_lower, mu, state.xi, state.phi_xi)
             continue
 
         residual = float(np.linalg.norm(state.v)) / denom

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from sfista.a_reg import ARegConfig, solve_areg
 from sfista.bench import (
+    METHODS,
     RunRecord,
     atr_from_records,
     compute_atr,
@@ -16,7 +18,7 @@ from sfista.bench import (
     run_benchmark,
 )
 from sfista.cli import bench_main, read_config_file, solve_main
-from sfista.problems import InstanceSpec
+from sfista.problems import InstanceSpec, gen_lasso, load_csv_matrix, make_instance
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +217,59 @@ def test_desk_suite_families():
 
 
 # ---------------------------------------------------------------------------
+# pinned iterates: (total_iters, cycles, f_evals, grad_evals, prox_evals) at
+# eps 1e-8 on the smallest desk instance of each family; for a-reg, iterations
+# and cycles are summed over the inner solves.  Counts, not float hashes, so
+# the pins hold across BLAS builds.
+
+PINNED_COUNTS = {
+    ("logistic", "rpf-sfista"): (186, 2, 397, 384, 198),
+    ("logistic", "fista-bt"): (734, 1, 1471, 1468, 737),
+    ("logistic", "fista-r"): (198, 19, 399, 396, 201),
+    ("logistic", "rada"): (226, 4, 0, 452, 226),
+    ("logistic", "greedy"): (130, 12, 0, 260, 130),
+    ("logistic", "a-reg"): (888, 11, 1830, 1799, 911),
+    ("lasso", "rpf-sfista"): (310, 3, 621, 620, 310),
+    ("lasso", "fista-bt"): (498, 1, 996, 996, 498),
+    ("lasso", "fista-r"): (154, 5, 308, 308, 154),
+    ("lasso", "rada"): (109, 4, 0, 218, 109),
+    ("lasso", "greedy"): (78, 13, 0, 156, 78),
+    ("lasso", "a-reg"): (4488, 22, 8987, 8976, 4488),
+    ("qp_simplex", "rpf-sfista"): (109, 2, 219, 218, 109),
+    ("qp_simplex", "fista-bt"): (243, 1, 486, 486, 243),
+    ("qp_simplex", "fista-r"): (82, 4, 164, 164, 82),
+    ("qp_simplex", "rada"): (252, 4, 0, 504, 252),
+    ("qp_simplex", "greedy"): (207, 13, 0, 414, 207),
+    ("qp_simplex", "a-reg"): (723, 12, 1455, 1446, 723),
+    ("qp_box", "rpf-sfista"): (6484, 5, 12969, 12968, 6484),
+    ("qp_box", "fista-bt"): (30971, 1, 61942, 61942, 30971),
+    ("qp_box", "fista-r"): (3267, 4, 6534, 6534, 3267),
+    ("qp_box", "rada"): (10920, 3, 0, 21840, 10920),
+    ("qp_box", "greedy"): (8422, 22, 0, 16844, 8422),
+    ("qp_box", "a-reg"): (43049, 42, 86117, 86098, 43049),
+}
+
+
+@pytest.mark.parametrize("family,method", sorted(PINNED_COUNTS))
+def test_iterate_counts_pinned(family, method):
+    problem, z0 = make_instance(desk_suite(family, seed=42)[0])
+    if method == "a-reg":
+        out = solve_areg(problem, ARegConfig(eps=1e-8), z0)
+        iters = sum(inner.total_iters for inner in out.inner_outputs)
+        cycles = sum(inner.cycles for inner in out.inner_outputs)
+    else:
+        out = METHODS[method](problem, z0, 1e-8, 7200.0)
+        iters, cycles = out.total_iters, out.cycles
+    c = out.counters
+    assert out.status == "converged"
+    assert (iters, cycles, c.f_evals, c.grad_evals, c.prox_evals) == PINNED_COUNTS[family, method]
+
+
+def test_registry_covers_every_method():
+    assert {m for _, m in PINNED_COUNTS} == set(METHODS) | {"a-reg"}
+
+
+# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -276,6 +331,21 @@ def test_cli_solve_on_csv_matrix(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "status: converged" in out
+
+
+def test_cli_solve_runs_the_bench_registry(tmp_path, capsys):
+    # `solve` and `bench run` share one method table, so on the same problem
+    # the CLI reports the registry's rpf-sfista run (mu_shrink 0.1)
+    A = np.random.default_rng(3).standard_normal((40, 80))
+    path = tmp_path / "A.csv"
+    np.savetxt(path, A, delimiter=",")
+    solve_main(["--problem", str(path), "--c", "2.0", "--eps", "1e-10"])
+    problem, z0 = gen_lasso(load_csv_matrix(str(path)),
+                            np.random.default_rng(0).standard_normal(40), 2.0)
+    out = METHODS["rpf-sfista"](problem, z0, 1e-10, 7200.0)
+    printed = capsys.readouterr().out
+    assert f"iterations: {out.total_iters}\n" in printed
+    assert f"prox evals: {out.counters.prox_evals}\n" in printed
 
 
 def test_cli_solve_on_mtx(tmp_path, capsys):

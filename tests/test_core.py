@@ -1,10 +1,14 @@
-"""Composite problem abstraction: dimension checks, counters, phi, FD check."""
+"""Composite problem abstraction: dimension checks, counters, phi, FD check,
+and the shared line search's NaN handling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sfista.baselines import BaselineConfig, solve_fista_bt
 from sfista.core import (
     CompositeProblem,
     CountingOracle,
@@ -12,6 +16,7 @@ from sfista.core import (
     eval_phi,
     grad_fd_check,
 )
+from sfista.rpf_sfista import SfistaConfig, solve_sfista
 
 
 def _quadratic_problem(n=3):
@@ -96,3 +101,59 @@ def test_grad_fd_check_rejects_bad_step():
     prob = _quadratic_problem(2)
     with pytest.raises(ValueError):
         grad_fd_check(prob, np.zeros(2), 0.0)
+
+
+def _nan_after(k, problem, field_name, counts):
+    """Copy of problem whose `field_name` oracle returns NaN from call k + 1
+    on; counts['prox'] counts prox calls and counts['onset'] records the prox
+    count when the first NaN was returned."""
+    fn = getattr(problem, field_name)
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = fn(*args)
+        if calls[0] > k:
+            counts.setdefault("onset", counts["prox"])
+            return out * math.nan
+        return out
+
+    replaced = {field_name: wrapped}
+    prox = wrapped if field_name == "h_prox" else problem.h_prox
+
+    def counted_prox(*args):
+        counts["prox"] += 1
+        return prox(*args)
+
+    replaced["h_prox"] = counted_prox
+    return replace(problem, **replaced)
+
+
+def _ill_conditioned_box_qp(n=20):
+    # box prox (np.clip) passes NaN through, so the line search sees it
+    H = np.diag(np.logspace(-3, 1, n))
+    b = np.linspace(-1.0, 1.0, n)
+    return CompositeProblem(
+        dim=n,
+        f_eval=lambda z: 0.5 * float(z @ H @ z) - float(b @ z),
+        f_grad=lambda z: H @ z - b,
+        h_prox=lambda p, lam: np.clip(p, -0.5, 0.5),
+        h_eval=lambda z: 0.0 if np.all(np.abs(z) <= 0.5) else math.inf,
+    )
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, z0: solve_sfista(p, SfistaConfig(eps_hat=1e-13), z0),
+    lambda p, z0: solve_fista_bt(p, BaselineConfig(eps_hat=1e-13), z0),
+], ids=["rpf-sfista", "fista-bt"])
+@pytest.mark.parametrize("field_name,name", [
+    ("f_eval", "f"), ("f_grad", "grad"), ("h_prox", "prox"),
+])
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(min_value=0, max_value=60))
+def test_nan_oracle_fails_fast_in_line_search(solve, field_name, name, k):
+    counts = {"prox": 0}
+    problem = _nan_after(k, _ill_conditioned_box_qp(), field_name, counts)
+    with pytest.raises(RuntimeError, match=f"the {name} oracle returned NaN"):
+        solve(problem, np.zeros(problem.dim))
+    assert counts["prox"] - counts["onset"] <= 2

@@ -196,6 +196,17 @@ def test_empty_vector_raises():
         project_simplex(np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("project", [
+    project_simplex,
+    lambda v: project_l1_ball(v, 1.0),
+    lambda v: project_box_hyperplane(v, np.ones(3), 0.0, 1.0),
+], ids=["simplex", "l1_ball", "box_hyperplane"])
+def test_nonfinite_input_raises(project, bad):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        project(np.array([bad, 1.0, 2.0]))
+
+
 def test_bad_radius_raises():
     with pytest.raises(ValueError):
         project_l1_ball(np.ones(3), 0.0)
