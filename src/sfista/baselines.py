@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -22,9 +21,10 @@ from .core import (
     CountingOracle,
     check_start,
     line_search,
+    nan_message,
     residual_denominator,
 )
-from .rpf_sfista import SfistaOutput, SfistaTraceRow
+from .rpf_sfista import SfistaOutput
 
 __all__ = [
     "BaselineConfig",
@@ -57,7 +57,6 @@ class BaselineConfig:
     residual_mode: str = "relative"
     max_total_iters: int = 10**6
     time_limit: float = 7200.0
-    trace: bool = False
 
 
 def gradient_restart_fires(y_prev: np.ndarray, y: np.ndarray, x_tilde: np.ndarray) -> bool:
@@ -70,7 +69,6 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
     start = time.monotonic()
     oracle = CountingOracle(problem)
     denom = residual_denominator(problem, z0, config.residual_mode)
-    trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
 
     L = config.L0
     t = 1.0
@@ -92,12 +90,6 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
         L, _, g_xt, y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0, config.chi)
         v = oracle.grad(y) - g_xt + L * (x_tilde - y)
         residual = float(np.linalg.norm(v)) / denom
-        if trace is not None:
-            trace.append(SfistaTraceRow(
-                cycle=restarts + 1, j=j, L=L, A=math.nan, tau=math.nan, a=math.nan,
-                tau_prev=math.nan, v_norm=float(np.linalg.norm(v)),
-                phi_xi=f_y + oracle.h(y), restarted=False,
-            ))
         if residual <= config.eps_hat:
             status = "converged"
             break
@@ -110,8 +102,6 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
                 x_tilde = y
                 restarts += 1
                 restarted = True
-                if trace is not None:
-                    trace[-1].restarted = True
             phi_prev = phi_y
         if not restarted:
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
@@ -122,7 +112,7 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
     return SfistaOutput(
         y=y, v=v, xi=y, L_final=L, cycles=restarts + 1, total_iters=j,
         counters=oracle.counters, status=status,
-        residual=float(np.linalg.norm(v)) / denom, trace=trace,
+        residual=float(np.linalg.norm(v)) / denom,
         runtime_s=time.monotonic() - start,
     )
 
@@ -151,7 +141,6 @@ def _run_fixed_step(problem, config, z0, greedy):
     gamma = (config.greedy_gamma_scale if greedy else 1.0) / L_bar
     oracle = CountingOracle(problem)
     denom = residual_denominator(problem, z0, config.residual_mode)
-    trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
 
     t = 1.0
     y_prev = z0
@@ -170,13 +159,12 @@ def _run_fixed_step(problem, config, z0, greedy):
         j += 1
         g_xt = oracle.grad(x_tilde)
         y = oracle.prox(x_tilde - gamma * g_xt, gamma)
-        v = oracle.grad(y) - g_xt + (x_tilde - y) / gamma
+        g_y = oracle.grad(y)
+        v = g_y - g_xt + (x_tilde - y) / gamma
         residual = float(np.linalg.norm(v)) / denom
-        if trace is not None:
-            trace.append(SfistaTraceRow(
-                cycle=restarts + 1, j=j, L=1.0 / gamma, A=math.nan, tau=math.nan,
-                a=math.nan, tau_prev=math.nan, v_norm=float(np.linalg.norm(v)),
-                phi_xi=math.nan, restarted=False,
+        if math.isnan(residual):  # no line search here to catch it
+            raise RuntimeError(nan_message(
+                "fixed-step FISTA", "the residual", (("grad", g_xt), ("prox", y), ("grad", g_y)),
             ))
         if residual <= config.eps_hat:
             status = "converged"
@@ -194,8 +182,6 @@ def _run_fixed_step(problem, config, z0, greedy):
             t = 1.0
             x_tilde = y
             restarts += 1
-            if trace is not None:
-                trace[-1].restarted = True
         elif greedy:
             x_tilde = y + (y - y_prev)
         else:
@@ -207,7 +193,7 @@ def _run_fixed_step(problem, config, z0, greedy):
     return SfistaOutput(
         y=y, v=v, xi=y, L_final=1.0 / gamma, cycles=restarts + 1, total_iters=j,
         counters=oracle.counters, status=status,
-        residual=float(np.linalg.norm(v)) / denom, trace=trace,
+        residual=float(np.linalg.norm(v)) / denom,
         runtime_s=time.monotonic() - start,
     )
 

@@ -178,7 +178,10 @@ def line_search(
         if test >= -_LS_SLACK * (1.0 + abs(f_y)):
             return L, x_tilde, g, y, f_y, ell
         if math.isnan(test):
-            raise RuntimeError(_nan_message(g, f_xt, y, f_y))
+            raise RuntimeError(nan_message(
+                "line search", "the acceptance test",
+                (("grad", g), ("f", f_xt), ("prox", y), ("f", f_y)),
+            ))
         L *= growth
         if L > _L_OVERFLOW:
             raise RuntimeError(
@@ -186,10 +189,14 @@ def line_search(
             )
 
 
-def _nan_message(g, f_xt, y, f_y) -> str:
-    # outputs in oracle call order, so a NaN is blamed on the first oracle
-    # that produced it rather than on one that merely received it
-    for name, value in (("grad", g), ("f", f_xt), ("prox", y), ("f", f_y)):
+def nan_message(where: str, what: str, outputs) -> str:
+    """Error message for a NaN `what` seen in `where`, naming the oracle.
+
+    outputs are (oracle name, output) pairs in call order, so a NaN is blamed
+    on the first oracle that produced it rather than on one that merely
+    received it.  Call it on the error path only.
+    """
+    for name, value in outputs:
         if np.isnan(value).any():
-            return f"line search: the {name} oracle returned NaN"
-    return "line search: the acceptance test is NaN (an oracle returned inf)"
+            return f"{where}: the {name} oracle returned NaN"
+    return f"{where}: {what} is NaN (an oracle returned inf)"

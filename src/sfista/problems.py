@@ -288,9 +288,7 @@ def gen_qp_box(
 
     return _gen_qp(
         m, n, alpha, mu_target, L_target, seed,
-        # machine-level multiplier tolerance: the solvers push residuals to
-        # 1e-13 relative, well below what a 1e-12 projection would allow
-        spec=lambda rng: ProjectionSpec(kind="box_hyperplane", a=a, b=b, r=r, tol=1e-16),
+        spec=lambda rng: ProjectionSpec(kind="box_hyperplane", a=a, b=b, r=r),
         z0_rule=z0_rule,
     )
 

@@ -20,9 +20,6 @@ __all__ = [
     "prox_of",
 ]
 
-_BH_DEFAULT_TOL = 1e-12
-
-
 def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Euclidean projection onto {x >= 0 : sum x_i = radius}.
 
@@ -39,8 +36,12 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     ks = np.arange(1, v.size + 1)
     positive = np.flatnonzero(u - css / ks > 0)
     if positive.size == 0:
-        # k = 1 always qualifies for a finite v of moderate scale
-        raise ValueError("no positive threshold: v has NaN or infinite entries, or huge ones")
+        # k = 1 always qualifies unless v is non-finite or so large that
+        # u_1 - (u_1 - radius) rounds to 0; shifting v by a constant does not
+        # move the projection and makes k = 1 qualify
+        if not np.isfinite(v).all():
+            raise ValueError("cannot project a vector with NaN or infinite entries")
+        return project_simplex(v - v.max(), radius)
     rho = int(positive[-1])
     theta = css[rho] / (rho + 1)
     return np.maximum(v - theta, 0.0)
@@ -61,23 +62,22 @@ def project_l1_ball(v: np.ndarray, C: float) -> np.ndarray:
     return np.sign(v) * w
 
 
-def project_box_hyperplane(
-    v: np.ndarray,
-    a: np.ndarray,
-    b: float,
-    r: float,
-    tol: float = _BH_DEFAULT_TOL,
-) -> np.ndarray:
+def project_box_hyperplane(v: np.ndarray, a: np.ndarray, b: float, r: float) -> np.ndarray:
     """Euclidean projection onto {z : a'z = b, -r <= z_i <= r}.
 
-    The projection is clip(v - lam*a, -r, r) for the multiplier lam at which
-    g(lam) = a'clip(v - lam*a, -r, r) - b crosses zero.  g is piecewise linear
-    and nonincreasing, so a bracketed bisection is robust to the kinks.
+    The projection is clip(v - lam*a, -r, r) for a multiplier lam at which
+    g(lam) = a'clip(v - lam*a, -r, r) - b is zero.  g is nonincreasing and
+    piecewise linear: coordinate i (a_i != 0) is free, with slope -a_i^2, for
+    lam between its two kinks (v_i -+ r sign(a_i)) / a_i and clipped outside.
+    One sort of the 2n kinks and a cumsum of the slope changes give g at every
+    kink (Kiwiel's breakpoint search, O(n log n)); on the segment where g
+    first reaches zero, lam solves a'z = b in closed form from the free set F
+    and the clipped values z_C: lam = (a_F'v_F + a_C'z_C - b) / ||a_F||^2.
+    The result is exact up to roundoff; there is no tolerance.  Coordinates
+    with a_i = 0 are clip(v_i, -r, r).
     """
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if r <= 0:
         raise ValueError("box half-width r must be positive")
     if not np.any(a):
@@ -89,33 +89,30 @@ def project_box_hyperplane(
     if not np.isfinite(v).all():
         raise ValueError("cannot project a vector with NaN or infinite entries")
 
-    def g(lam: float) -> float:
-        return float(a @ np.clip(v - lam * a, -r, r) - b)
-
-    lo, hi = -1.0, 1.0
-    # g decreases in lam: expand until g(lo) >= 0 >= g(hi)
-    for _ in range(200):
-        if g(lo) >= 0.0:
-            break
-        lo *= 2.0
+    nz = np.flatnonzero(a)
+    an, vn, m = a[nz], v[nz], nz.size
+    edge = r * np.sign(an)
+    # coordinate i is free for lam in [enter_i, leave_i], at +r sign(a_i)
+    # before and at -r sign(a_i) after
+    enter, leave = (vn - edge) / an, (vn + edge) / an
+    kinks = np.concatenate((enter, leave))
+    order = np.argsort(kinks, kind="stable")
+    kinks = kinks[order]
+    a2 = an * an
+    slope = np.cumsum(np.concatenate((-a2, a2))[order])
+    # roundoff in the cumsum must not tilt a segment with no free coordinate
+    n_free = np.cumsum(np.repeat([1, -1], m)[order])
+    slope[n_free == 0] = 0.0
+    g = reach - b + np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(kinks))))
+    g[-1] = -reach - b  # every coordinate is at its lower clip
+    j = int(np.argmax(g <= 0.0))
+    if j == 0:  # b = r||a||_1: the set is one point, reached at the first kink
+        lam = kinks[0]
     else:
-        raise RuntimeError("bracket expansion failed (lower); projection invariant violated")
-    for _ in range(200):
-        if g(hi) <= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("bracket expansion failed (upper); projection invariant violated")
-
-    while hi - lo > tol * (1.0 + max(abs(lo), abs(hi))):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-            break
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+        free = (enter <= kinks[j - 1]) & (leave >= kinks[j])
+        # a_i z_i of a clipped coordinate: r|a_i| before its kinks, -r|a_i| after
+        clipped = np.where(enter >= kinks[j], r, -r) * np.abs(an)
+        lam = (an[free] @ vn[free] + clipped[~free].sum() - b) / (a2[free].sum())
     return np.clip(v - lam * a, -r, r)
 
 
@@ -133,7 +130,6 @@ class ProjectionSpec:
     r: Optional[float] = None                 # box_hyperplane
     lo: Optional[np.ndarray] = None           # box
     hi: Optional[np.ndarray] = None           # box
-    tol: float = _BH_DEFAULT_TOL
 
     def __post_init__(self):
         if self.kind == "free":
@@ -176,7 +172,7 @@ class ProjectionSpec:
         if self.kind == "l1_ball":
             return project_l1_ball(v, self.radius)
         if self.kind == "box_hyperplane":
-            return project_box_hyperplane(v, self.a, self.b, self.r, self.tol)
+            return project_box_hyperplane(v, self.a, self.b, self.r)
         return np.clip(v, self.lo, self.hi)
 
     def contains(self, z: np.ndarray, tol: float = 1e-9) -> bool:

@@ -168,7 +168,7 @@ def test_criterion_06_projection_oracle_equivalence():
             a = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
             r = float(rng.uniform(0.5, 3.0))
             b = float(rng.uniform(-0.5, 0.5) * r * np.abs(a).sum())
-            got = project_box_hyperplane(v, a, b, r, tol=1e-14)
+            got = project_box_hyperplane(v, a, b, r)
             want = oracle_box_hyperplane(v, a, b, r)
         worst = max(worst, float(np.max(np.abs(got - want))))
         # idempotence and nonexpansiveness alongside the equivalence check
@@ -247,9 +247,8 @@ def test_criterion_08_head_to_head_on_box_qp():
         pytest.xfail(
             "honest deviation: a function-value restarted FISTA outperforms "
             f"the solver on box QPs at this scale (ATR {atr_best:.2f} <= 1.0 "
-            f"vs fista-r; ATR vs every other baseline exceeds 1: "
-            + ", ".join(f"{m}={v:.2f}" for m, v in per_baseline.items()
-                        if m != "fista-r")
+            f"vs the best baseline; per-baseline ATR: "
+            + ", ".join(f"{m}={v:.2f}" for m, v in per_baseline.items())
             + ")"
         )
 

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sfista.baselines import BaselineConfig, solve_fista_bt
+from sfista.baselines import (
+    BaselineConfig,
+    solve_fista_bt,
+    solve_greedy_fista,
+    solve_rada_fista,
+)
 from sfista.core import (
     CompositeProblem,
     CountingOracle,
@@ -157,3 +162,17 @@ def test_nan_oracle_fails_fast_in_line_search(solve, field_name, name, k):
     with pytest.raises(RuntimeError, match=f"the {name} oracle returned NaN"):
         solve(problem, np.zeros(problem.dim))
     assert counts["prox"] - counts["onset"] <= 2
+
+
+@pytest.mark.parametrize("solve", [solve_rada_fista, solve_greedy_fista], ids=["rada", "greedy"])
+@pytest.mark.parametrize("field_name,name", [("f_grad", "grad"), ("h_prox", "prox")])
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(min_value=0, max_value=60))
+def test_nan_oracle_fails_fast_in_fixed_step(solve, field_name, name, k):
+    # no line search: the residual is where the NaN shows
+    counts = {"prox": 0}
+    problem = replace(_ill_conditioned_box_qp(), known_L=10.0)
+    problem = _nan_after(k, problem, field_name, counts)
+    with pytest.raises(RuntimeError, match=f"the {name} oracle returned NaN"):
+        solve(problem, BaselineConfig(eps_hat=1e-13), np.zeros(problem.dim))
+    assert counts["prox"] - counts["onset"] <= 1

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sfista.prox_ops import (
     ProjectionSpec,
@@ -134,7 +134,7 @@ def test_box_hyperplane_matches_oracle():
         r = float(rng.uniform(0.5, 3.0))
         b = float(rng.uniform(-0.8, 0.8) * r * np.abs(a).sum())
         v = rng.uniform(-2 * r, 2 * r, size=n)
-        got = project_box_hyperplane(v, a, b, r, tol=1e-14)
+        got = project_box_hyperplane(v, a, b, r)
         want = oracle_box_hyperplane(v, a, b, r)
         assert want is not None
         np.testing.assert_allclose(got, want, atol=1e-7)
@@ -207,6 +207,12 @@ def test_nonfinite_input_raises(project, bad):
         project(np.array([bad, 1.0, 2.0]))
 
 
+def test_huge_finite_input_projects():
+    # u_1 - (u_1 - 1) rounds to 0 at k = 1 for 1e20
+    np.testing.assert_array_equal(project_simplex(np.array([1e20, 0.0, 0.0])), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(project_l1_ball(np.array([1e20, 0.0, 0.0]), 1.0), [1.0, 0.0, 0.0])
+
+
 def test_bad_radius_raises():
     with pytest.raises(ValueError):
         project_l1_ball(np.ones(3), 0.0)
@@ -253,10 +259,10 @@ def test_box_hyperplane_idempotent_and_feasible(vals, r):
     v = np.asarray(vals)
     a = np.ones(v.size)
     a[-1] = -1.0
-    p = project_box_hyperplane(v, a, 0.0, r, tol=1e-14)
+    p = project_box_hyperplane(v, a, 0.0, r)
     assert np.all(np.abs(p) <= r + 1e-10)
     assert abs(a @ p) <= 1e-9 * (1 + r * v.size)
-    p2 = project_box_hyperplane(p, a, 0.0, r, tol=1e-14)
+    p2 = project_box_hyperplane(p, a, 0.0, r)
     np.testing.assert_allclose(p2, p, atol=1e-8)
 
 
@@ -268,9 +274,49 @@ def test_box_hyperplane_nonexpansive(u_vals, v_vals):
     u, v = np.asarray(u_vals[:n]), np.asarray(v_vals[:n])
     a = np.ones(n)
     a[-1] = -1.0
-    pu = project_box_hyperplane(u, a, 0.0, 2.0, tol=1e-14)
-    pv = project_box_hyperplane(v, a, 0.0, 2.0, tol=1e-14)
+    pu = project_box_hyperplane(u, a, 0.0, 2.0)
+    pv = project_box_hyperplane(v, a, 0.0, 2.0)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-7
+
+
+_coef = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _box_hyperplane_case(draw):
+    """Zeros in a, single-point sets b = +-r||a||_1, repeated kinks (equal
+    coordinates of a and v on a coarse grid), feasible v, and |v| up to 1e6."""
+    n = draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(_coef, min_size=n, max_size=n)))
+    assume(np.any(a))
+    r = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6]))
+    grid = st.integers(-4, 4).map(lambda k: k * 0.5 * scale)
+    v = np.array(draw(st.lists(grid | st.floats(-scale, scale), min_size=n, max_size=n)))
+    reach = r * np.abs(a).sum()
+    kind = draw(st.sampled_from(["upper", "lower", "feasible", "interior"]))
+    if kind == "feasible":
+        v = np.clip(v, -r, r)
+        b = float(a @ v)
+    elif kind == "interior":
+        b = draw(st.floats(-1.0, 1.0)) * reach
+    else:
+        b = reach if kind == "upper" else -reach
+    return v, a, b, r, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(_box_hyperplane_case())
+def test_box_hyperplane_exact_on_edge_cases(case):
+    v, a, b, r, kind = case
+    z = project_box_hyperplane(v, a, b, r)
+    vmax = np.abs(v).max()
+    assert np.all(np.abs(z) <= r)
+    assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
+    if kind == "feasible":
+        np.testing.assert_allclose(z, v, rtol=0, atol=1e-14 * (1 + np.abs(a).sum() * r))
+    if v.size <= 6:  # the oracle accepts a'x = b to 1e-7
+        np.testing.assert_allclose(z, oracle_box_hyperplane(v, a, b, r), atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
