@@ -16,7 +16,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CompositeProblem, OracleCounters, check_start, eval_phi
+from .core import (
+    CompositeProblem,
+    OracleCounters,
+    SmoothFunction,
+    check_start,
+    eval_phi,
+    smooth_of,
+)
 from .rpf_sfista import SfistaConfig, SfistaOutput, _clamp_m_lower, solve_sfista
 
 __all__ = [
@@ -80,23 +87,32 @@ class ARegOutput:
 def build_subproblem(
     problem: CompositeProblem, delta: float, theta: np.ndarray
 ) -> CompositeProblem:
-    """Strongly convex subproblem: smooth part plus (delta/2)||z - theta||^2."""
+    """Strongly convex subproblem: smooth part plus (delta/2)||z - theta||^2.
+
+    Its image pairs z - theta with the base problem's image (`smooth_of`),
+    so f and grad f share one image whenever the base problem's do.
+    """
     if delta <= 0:
         raise ValueError("delta must be positive")
     theta = np.asarray(theta, dtype=float)
-    base_f, base_grad = problem.f_eval, problem.f_grad
+    base = smooth_of(problem)
 
-    def f_eval(z):
-        d = z - theta
-        return base_f(z) + 0.5 * delta * float(d @ d)
+    def image(z):
+        return z - theta, base.image(z)
 
-    def f_grad(z):
-        return np.asarray(base_grad(z), dtype=float) + delta * (z - theta)
+    def value(k):
+        d, base_image = k
+        return base.value(base_image) + 0.5 * delta * float(d @ d)
 
+    def grad(k):
+        d, base_image = k
+        return np.asarray(base.grad(base_image), dtype=float) + delta * d
+
+    smooth = SmoothFunction(image, value, grad)
     return CompositeProblem(
         dim=problem.dim,
-        f_eval=f_eval,
-        f_grad=f_grad,
+        f_eval=smooth.f_eval,
+        f_grad=smooth.f_grad,
         h_prox=problem.h_prox,
         h_eval=problem.h_eval,
         known_L=None if problem.known_L is None else problem.known_L + delta,

@@ -86,10 +86,16 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
             break
         j += 1
         # doubling line search from a fixed x_tilde
-        point = (x_tilde, oracle.grad(x_tilde), oracle.f(x_tilde))
-        L, _, g_xt, y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0, config.chi)
-        v = oracle.grad(y) - g_xt + L * (x_tilde - y)
+        f_xt, grad_xt = oracle.f_and_grad(x_tilde)
+        point = (x_tilde, grad_xt(), f_xt)
+        L, _, g_xt, y, f_y, _, grad_y = line_search(oracle, lambda L: point, L, 2.0, config.chi)
+        g_y = grad_y()
+        v = g_y - g_xt + L * (x_tilde - y)
         residual = float(np.linalg.norm(v)) / denom
+        if math.isnan(residual):  # grad f(y) is not part of the line-search test
+            raise RuntimeError(nan_message(
+                "backtracking FISTA", "the residual", (("grad", g_xt), ("prox", y), ("grad", g_y)),
+            ))
         if residual <= config.eps_hat:
             status = "converged"
             break

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
+    "SmoothFunction",
     "CompositeProblem",
     "OracleCounters",
     "CountingOracle",
+    "smooth_of",
     "eval_phi",
     "grad_fd_check",
 ]
@@ -28,13 +31,41 @@ _LS_SLACK = 1e-12
 _L_OVERFLOW = 1e30
 
 
+class SmoothFunction:
+    """A smooth f = value(image(z)) with grad f(z) = grad(image(z)).
+
+    image(z) holds what f and grad f at z have in common -- for f = g(Kz),
+    the image Kz -- so f and grad f at one point share one image (the
+    smooth-function form of TFOCS; Becker, Candes and Grant, 2011).  Bind a
+    CompositeProblem's f_eval and f_grad to this object's `f_eval` and
+    `f_grad`: while both stay bound to the same SmoothFunction,
+    CountingOracle.f_and_grad computes the image once per point.
+    """
+
+    __slots__ = ("image", "value", "grad")
+
+    def __init__(
+        self, image: Callable, value: Callable[..., float], grad: Callable[..., np.ndarray]
+    ):
+        self.image = image
+        self.value = value
+        self.grad = grad
+
+    def f_eval(self, z: np.ndarray) -> float:
+        return self.value(self.image(z))
+
+    def f_grad(self, z: np.ndarray) -> np.ndarray:
+        return self.grad(self.image(z))
+
+
 @dataclass(frozen=True)
 class CompositeProblem:
     """Oracle bundle for min f(z) + h(z).
 
     h_eval may return +inf (infeasible point of an indicator).  h_prox(p, lam)
     returns argmin_u h(u) + ||u - p||^2 / (2 lam); for indicator h this is the
-    Euclidean projection and is independent of lam.
+    Euclidean projection and is independent of lam.  f_eval and f_grad may be
+    plain callables or the `f_eval` and `f_grad` of one SmoothFunction.
     """
 
     dim: int
@@ -73,16 +104,35 @@ class OracleCounters:
         self.prox_evals += other.prox_evals
 
 
+def smooth_of(problem: CompositeProblem) -> SmoothFunction:
+    """problem's f as a SmoothFunction.
+
+    This is the SmoothFunction that problem.f_eval and problem.f_grad are
+    both bound to, if there is one.  Otherwise -- plain callables, or one of
+    the two replaced, e.g. by `dataclasses.replace` -- it has the identity as
+    image and f_eval and f_grad as value and grad, so it calls exactly the
+    problem's own oracles.
+    """
+    f_eval, f_grad = problem.f_eval, problem.f_grad
+    smooth = getattr(f_eval, "__self__", None)
+    if isinstance(smooth, SmoothFunction) and f_eval == smooth.f_eval and f_grad == smooth.f_grad:
+        return smooth
+    return SmoothFunction(lambda z: z, f_eval, f_grad)
+
+
 class CountingOracle:
     """Wraps a CompositeProblem, incrementing counters on each oracle call.
 
     One instance per solve; the underlying problem stays immutable and
-    shareable across concurrent solves.
+    shareable across concurrent solves.  grad and prox outputs whose shape is
+    not (dim,) raise a ValueError naming the oracle.
     """
 
     def __init__(self, problem: CompositeProblem, counters: OracleCounters | None = None):
         self.problem = problem
         self.counters = counters if counters is not None else OracleCounters()
+        self._shape = (problem.dim,)
+        self._smooth = smooth_of(problem)
 
     def f(self, z: np.ndarray) -> float:
         self.counters.f_evals += 1
@@ -90,11 +140,33 @@ class CountingOracle:
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         self.counters.grad_evals += 1
-        return np.asarray(self.problem.f_grad(z), dtype=float)
+        return self._vector("grad", self.problem.f_grad(z))
+
+    def f_and_grad(self, z: np.ndarray) -> Tuple[float, Callable[[], np.ndarray]]:
+        """(f(z), grad) where grad() returns grad f(z) from the same image.
+
+        Counts one f evaluation now and one grad evaluation when grad runs, so
+        the counters mean what they mean for f and grad called apart.
+        """
+        self.counters.f_evals += 1
+        image = self._smooth.image(z)
+        return float(self._smooth.value(image)), partial(self._grad_from_image, image)
+
+    def _grad_from_image(self, image) -> np.ndarray:
+        self.counters.grad_evals += 1
+        return self._vector("grad", self._smooth.grad(image))
 
     def prox(self, p: np.ndarray, lam: float) -> np.ndarray:
         self.counters.prox_evals += 1
-        return np.asarray(self.problem.h_prox(p, lam), dtype=float)
+        return self._vector("prox", self.problem.h_prox(p, lam))
+
+    def _vector(self, name: str, out) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        if out.shape != self._shape:
+            raise ValueError(
+                f"the {name} oracle returned shape {out.shape}, expected {self._shape}"
+            )
+        return out
 
     def h(self, z: np.ndarray) -> float:
         return float(self.problem.h_eval(z))
@@ -164,19 +236,21 @@ def line_search(
     satisfies ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y).
 
     trial_point(L) returns (x_tilde, grad f(x_tilde), f(x_tilde)) for the
-    current L.  Returns (L, x_tilde, grad, y, f(y), ell_f(y; x_tilde)) for the
-    accepted L.  Raises RuntimeError at the first NaN test value, naming the
-    oracle that produced it, and when L passes 1e30.
+    current L.  Each trial y is evaluated with oracle.f_and_grad.  Returns
+    (L, x_tilde, grad, y, f(y), ell_f(y; x_tilde), grad_y) for the accepted
+    L, where grad_y() finishes grad f(y) from the image f(y) was computed
+    from.  Raises RuntimeError at the first NaN test value, naming the oracle
+    that produced it, and when L passes 1e30.
     """
     while True:
         x_tilde, g, f_xt = trial_point(L)
         y = oracle.prox(x_tilde - g / L, 1.0 / L)
-        f_y = oracle.f(y)
+        f_y, grad_y = oracle.f_and_grad(y)
         d = y - x_tilde
         ell = f_xt + float(g @ d)
         test = ell - f_y + (1.0 - chi) * L * float(d @ d) / 4.0
         if test >= -_LS_SLACK * (1.0 + abs(f_y)):
-            return L, x_tilde, g, y, f_y, ell
+            return L, x_tilde, g, y, f_y, ell, grad_y
         if math.isnan(test):
             raise RuntimeError(nan_message(
                 "line search", "the acceptance test",

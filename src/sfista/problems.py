@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CompositeProblem
+from .core import CompositeProblem, SmoothFunction
 from .prox_ops import ProjectionSpec
 
 __all__ = [
@@ -86,17 +86,14 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
     D = -A * labels[:, None]
     L = 0.25 * power_method_opnorm_sq(lambda v: D @ v, lambda v: D.T @ v, n)
 
-    def f_eval(z):
-        return float(np.logaddexp(0.0, D @ z).sum())
-
-    def f_grad(z):
-        t = D @ z
-        sig = 1.0 / (1.0 + np.exp(-t))
-        return D.T @ sig
-
+    smooth = SmoothFunction(
+        image=lambda z: D @ z,
+        value=lambda t: float(np.logaddexp(0.0, t).sum()),
+        grad=lambda t: D.T @ (1.0 / (1.0 + np.exp(-t))),
+    )
     spec = ProjectionSpec(kind="l1_ball", radius=C)
     problem = CompositeProblem(
-        dim=n, f_eval=f_eval, f_grad=f_grad,
+        dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
         h_prox=lambda p, lam: spec.project(p), h_eval=spec.indicator,
         known_L=L, known_mu_f=0.0,
     )
@@ -120,16 +117,14 @@ def gen_lasso(
     At = A.T
     L = power_method_opnorm_sq(lambda v: A @ v, lambda v: At @ v, n)
 
-    def f_eval(z):
-        r = A @ z - b
-        return 0.5 * float(r @ r)
-
-    def f_grad(z):
-        return At @ (A @ z - b)
-
+    smooth = SmoothFunction(
+        image=lambda z: A @ z - b,
+        value=lambda r: 0.5 * float(r @ r),
+        grad=lambda r: At @ r,
+    )
     spec = ProjectionSpec(kind="l1_ball", radius=C)
     problem = CompositeProblem(
-        dim=n, f_eval=f_eval, f_grad=f_grad,
+        dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
         h_prox=lambda p, lam: spec.project(p), h_eval=spec.indicator,
         known_L=L, known_mu_f=0.0,
     )
@@ -223,17 +218,21 @@ def _gen_qp(
             continue
         tau1, tau2, mu_actual, L_actual = cal
 
-        def f_eval(z, M1=M1, Cm=Cm, d=d, tau1=tau1, tau2=tau2):
-            r1 = M1 @ z
-            r2 = Cm @ z - d
+        def image(z, M1=M1, Cm=Cm, d=d):
+            return M1 @ z, Cm @ z - d
+
+        def value(r, tau1=tau1, tau2=tau2):
+            r1, r2 = r
             return 0.5 * tau1 * float(r1 @ r1) + 0.5 * tau2 * float(r2 @ r2)
 
-        def f_grad(z, M1=M1, Cm=Cm, d=d, tau1=tau1, tau2=tau2):
-            return tau1 * (M1.T @ (M1 @ z)) + tau2 * (Cm.T @ (Cm @ z - d))
+        def grad(r, M1t=M1.T, Cmt=Cm.T, tau1=tau1, tau2=tau2):
+            r1, r2 = r
+            return tau1 * (M1t @ r1) + tau2 * (Cmt @ r2)
 
+        smooth = SmoothFunction(image, value, grad)
         pspec = spec(rng)
         problem = CompositeProblem(
-            dim=n, f_eval=f_eval, f_grad=f_grad,
+            dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
             h_prox=lambda p, lam, pspec=pspec: pspec.project(p),
             h_eval=pspec.indicator,
             known_L=L_actual, known_mu_f=mu_actual,

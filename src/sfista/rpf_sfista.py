@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     OracleCounters,
     check_start,
     line_search,
+    nan_message,
     residual_denominator,
 )
 
@@ -118,6 +119,8 @@ class SfistaState:
     grad_x_tilde: Optional[np.ndarray] = None
     f_y: float = math.nan
     ell_y: float = math.nan
+    # finishes grad f(y) from the line search's evaluation of f(y)
+    grad_y: Optional[Callable[[], np.ndarray]] = None
 
 
 @dataclass
@@ -171,11 +174,11 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
         a = (tau + math.sqrt(tau * tau + 4.0 * tau * A * L)) / (2.0 * L)
         state.a = a
         x_tilde = (A * y_prev + a * x_prev) / (A + a)
-        return x_tilde, oracle.grad(x_tilde), oracle.f(x_tilde)
+        f_xt, grad_xt = oracle.f_and_grad(x_tilde)
+        return x_tilde, grad_xt(), f_xt
 
-    state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y, state.ell_y = line_search(
-        oracle, trial_point, state.L, config.beta, config.chi
-    )
+    (state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y, state.ell_y,
+     state.grad_y) = line_search(oracle, trial_point, state.L, config.beta, config.chi)
     return state.a, state.x_tilde, y, state.L
 
 
@@ -215,7 +218,9 @@ def momentum_update(
 ) -> SfistaState:
     """Step-3 updates: best-point, A, tau, s, x, and the residual vector v.
 
-    The best-point tie (phi(y_j) equal to the incumbent) keeps y_j.
+    The best-point tie (phi(y_j) equal to the incumbent) keeps y_j.  grad f(y_j)
+    comes from state.grad_y, which backtracking_step leaves for y_j, and from
+    oracle.grad(y_j) when the state carries none.
     """
     phi_y = state.f_y + oracle.h(y_j)
     if phi_y <= state.phi_xi:
@@ -228,7 +233,8 @@ def momentum_update(
     s = L_j * (state.x_tilde - y_j)
     state.x = (state.mu * a_prev * y_j / 2.0 + tau_prev * state.x - a_prev * s) / state.tau
     state.s = s
-    state.v = oracle.grad(y_j) - state.grad_x_tilde + s
+    grad_y, state.grad_y = state.grad_y, None
+    state.v = (grad_y() if grad_y is not None else oracle.grad(y_j)) - state.grad_x_tilde + s
     state.y = y_j
     return state
 
@@ -357,6 +363,13 @@ def solve_sfista(
             continue
 
         residual = float(np.linalg.norm(state.v)) / denom
+        if math.isnan(residual):
+            # grad f(y) is not part of the line-search test; with x_tilde and
+            # y finite, v is NaN only through it
+            raise RuntimeError(nan_message(
+                "RPF-SFISTA", "the residual",
+                (("grad", state.grad_x_tilde), ("prox", state.y), ("grad", state.v)),
+            ))
         if residual <= config.eps_hat:
             status = "converged"
             break

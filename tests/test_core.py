@@ -1,5 +1,5 @@
 """Composite problem abstraction: dimension checks, counters, phi, FD check,
-and the shared line search's NaN handling."""
+the solvers' NaN handling, and the oracle's output-shape check."""
 
 import math
 from dataclasses import replace
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sfista.baselines import (
     BaselineConfig,
     solve_fista_bt,
+    solve_fista_restart,
     solve_greedy_fista,
     solve_rada_fista,
 )
@@ -176,3 +177,56 @@ def test_nan_oracle_fails_fast_in_fixed_step(solve, field_name, name, k):
     with pytest.raises(RuntimeError, match=f"the {name} oracle returned NaN"):
         solve(problem, BaselineConfig(eps_hat=1e-13), np.zeros(problem.dim))
     assert counts["prox"] - counts["onset"] <= 1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, z0: solve_sfista(p, SfistaConfig(eps_hat=1e-13, max_total_iters=20000), z0),
+    lambda p, z0: solve_fista_bt(p, BaselineConfig(eps_hat=1e-13, max_total_iters=20000), z0),
+    lambda p, z0: solve_fista_restart(p, BaselineConfig(eps_hat=1e-13, max_total_iters=20000), z0),
+], ids=["rpf-sfista", "fista-bt", "fista-r"])
+@settings(max_examples=15, deadline=None)
+@given(k=st.integers(min_value=0, max_value=60))
+def test_nan_grad_at_line_search_outputs_fails_fast(solve, k):
+    # grad f(y) at an accepted line-search output y enters only the residual
+    # v, never a line-search test, so the residual is where the NaN shows
+    base = _ill_conditioned_box_qp()
+    outputs = {}  # id -> prox output, held so that ids stay unique
+    counts = {"prox": 0}
+
+    def prox(p, lam):
+        counts["prox"] += 1
+        y = base.h_prox(p, lam)
+        if counts["prox"] > k:
+            outputs[id(y)] = y
+        return y
+
+    def grad(z):
+        g = base.f_grad(z)
+        if id(z) in outputs:
+            counts.setdefault("onset", counts["prox"])
+            return g * math.nan
+        return g
+
+    problem = replace(base, h_prox=prox, f_grad=grad)
+    with pytest.raises(RuntimeError, match="the grad oracle returned NaN"):
+        solve(problem, np.zeros(problem.dim))
+    assert counts["prox"] - counts["onset"] <= 1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, z0: solve_sfista(p, SfistaConfig(eps_hat=1e-8), z0),
+    lambda p, z0: solve_fista_bt(p, BaselineConfig(eps_hat=1e-8), z0),
+    lambda p, z0: solve_greedy_fista(p, BaselineConfig(eps_hat=1e-8), z0),
+], ids=["rpf-sfista", "fista-bt", "greedy"])
+@pytest.mark.parametrize("field_name,name,reshape,shown", [
+    ("f_grad", "grad", lambda out: float(out[0]), r"\(\)"),
+    ("f_grad", "grad", lambda out: out[:, None], r"\(20, 1\)"),
+    ("f_grad", "grad", lambda out: np.append(out, 0.0), r"\(21,\)"),
+    ("h_prox", "prox", lambda out: out[:, None], r"\(20, 1\)"),
+], ids=["grad-scalar", "grad-n1", "grad-n+1", "prox-n1"])
+def test_wrong_output_shape_raises(solve, field_name, name, reshape, shown):
+    base = replace(_ill_conditioned_box_qp(), known_L=10.0)
+    good = getattr(base, field_name)
+    problem = replace(base, **{field_name: lambda *args: reshape(good(*args))})
+    with pytest.raises(ValueError, match=f"the {name} oracle returned shape {shown}"):
+        solve(problem, np.zeros(problem.dim))

@@ -7,6 +7,7 @@ independent of the implementations under test.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,50 +59,39 @@ def oracle_l1_ball(v, C):
 def oracle_box_hyperplane(v, a, b, r):
     """Enumerate clip patterns: each coordinate is at -r, at +r, or free.
     Free coordinates satisfy x_i = v_i - lam a_i with lam fixed by a'x = b.
-    Keep the consistent feasible candidate closest to v."""
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = v.size
-    best, best_d = None, np.inf
+    Return the first candidate that meets the KKT conditions (free
+    coordinates inside the box, clipped ones on the side their multiplier
+    sign demands, a'x = b), which are sufficient, so it is the projection.
+
+    The arithmetic is exact: the inputs are floats, so all are integer
+    multiples of 1/S for one power of two S.  lam = num/den is kept as a
+    fraction, and each test is an integer comparison after multiplying
+    through by S den > 0.  The answer is rounded to float once, at the end.
+    """
+    v = [Fraction(float(t)) for t in v]
+    a = [Fraction(float(t)) for t in a]
+    b, r = Fraction(float(b)), Fraction(float(r))
+    n = len(v)
+    S = max(t.denominator for t in v + a + [b, r])  # a power of two
+    V, A = [int(t * S) for t in v], [int(t * S) for t in a]
+    B, R = int(b * S * S), int(r * S)  # B at the scale of A'V
     for pattern in itertools.product((-1, 0, 1), repeat=n):
         free = [i for i in range(n) if pattern[i] == 0]
-        fixed_sum = sum(a[i] * (r if pattern[i] > 0 else -r)
-                        for i in range(n) if pattern[i] != 0)
-        denom = sum(a[i] ** 2 for i in free)
-        if free:
-            if denom == 0.0:
+        den = sum(A[i] ** 2 for i in free)
+        num = sum(A[i] * V[i] for i in free) + sum(A[i] * R * pattern[i] for i in range(n)) - B
+        if free and den == 0:
+            continue  # lam is undetermined; another pattern frees a coordinate with a_i != 0
+        if not free:
+            if num != 0:  # a'x misses b
                 continue
-            lam = (float(a[free] @ v[free]) + fixed_sum - b) / denom
-        else:
-            if abs(fixed_sum - b) > 1e-9:
-                continue
-            lam = 0.0
-        x = np.empty(n)
-        ok = True
-        for i in range(n):
-            if pattern[i] == 0:
-                x[i] = v[i] - lam * a[i]
-                if abs(x[i]) > r + 1e-9:
-                    ok = False
-                    break
-            else:
-                x[i] = r if pattern[i] > 0 else -r
-                # KKT sign consistency of the box multiplier
-                slack = v[i] - lam * a[i] - x[i]
-                if pattern[i] > 0 and slack < -1e-9:
-                    ok = False
-                    break
-                if pattern[i] < 0 and slack > 1e-9:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if abs(float(a @ x) - b) > 1e-7:
-            continue
-        d = float(((x - v) ** 2).sum())
-        if d < best_d - 1e-15:
-            best, best_d = x, d
-    return best
+            den = 1
+        # S * den * (v_i - lam a_i)
+        inner = [V[i] * den - num * A[i] for i in range(n)]
+        if all(abs(inner[i]) <= R * den if pattern[i] == 0 else
+               pattern[i] * (inner[i] - pattern[i] * R * den) >= 0 for i in range(n)):
+            return np.array([float(Fraction(inner[i], den * S)) if pattern[i] == 0
+                             else float(pattern[i] * r) for i in range(n)])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +174,15 @@ def test_box_hyperplane_known_value():
     # clipping active
     got = project_box_hyperplane(np.array([10.0, 0.0]), a, 0.0, 1.0)
     np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-9)
+
+
+def test_box_hyperplane_oracle_is_exact():
+    # the nearby box corner (-0.5, 0.5) misses a'x = b by only 2e-9
+    v, a, b, r = np.array([0.0, 500.0]), np.array([-2.0, -2.0]), 2e-9, 0.5
+    want = [-0.5, 0.499999999]
+    assert oracle_box_hyperplane(v, a, b, r).tolist() == want
+    np.testing.assert_allclose(project_box_hyperplane(v, a, b, r), want, rtol=0,
+                               atol=1e-14 * (1 + 500.0))
 
 
 def test_box_hyperplane_infeasible_raises():
@@ -315,8 +314,9 @@ def test_box_hyperplane_exact_on_edge_cases(case):
     assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
     if kind == "feasible":
         np.testing.assert_allclose(z, v, rtol=0, atol=1e-14 * (1 + np.abs(a).sum() * r))
-    if v.size <= 6:  # the oracle accepts a'x = b to 1e-7
-        np.testing.assert_allclose(z, oracle_box_hyperplane(v, a, b, r), atol=1e-7)
+    if v.size <= 6:  # the oracle is exact, so this bounds the solve's roundoff
+        np.testing.assert_allclose(z, oracle_box_hyperplane(v, a, b, r), rtol=0,
+                                   atol=1e-14 * (1 + vmax))
 
 
 # ---------------------------------------------------------------------------
