@@ -4,7 +4,14 @@ merely convex problems, exact polytope projections, baseline accelerated
 methods, benchmark problem generators, and a benchmark harness.
 """
 
-from .core import CompositeProblem, CountingOracle, OracleCounters, SmoothFunction, eval_phi
+from .core import (
+    CompositeProblem,
+    CountingOracle,
+    OracleCounters,
+    QuadraticFunction,
+    SmoothFunction,
+    eval_phi,
+)
 from .prox_ops import (
     ProjectionSpec,
     project_box_hyperplane,
@@ -56,7 +63,8 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction", "eval_phi",
+    "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction",
+    "QuadraticFunction", "eval_phi",
     "ProjectionSpec", "project_simplex", "project_l1_ball",
     "project_box_hyperplane", "prox_of",
     "SfistaConfig", "SfistaOutput", "SfistaTraceRow", "GammaSnapshot",

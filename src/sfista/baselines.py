@@ -68,16 +68,18 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
     z0 = check_start(problem, z0)
     start = time.monotonic()
     oracle = CountingOracle(problem)
-    denom = residual_denominator(problem, z0, config.residual_mode)
+    pt = oracle.pt
 
     L = config.L0
     t = 1.0
-    y_prev = z0
-    x_tilde = z0
+    # lifted points (CountingOracle.lift); a carried x_tilde image combines
+    # the fresh ones of y and y_prev, so it cannot drift
+    Y_prev = X_tilde = Y = oracle.lift(z0)
+    denom = None
     phi_prev = math.inf
     restarts = 0
     v = np.zeros(problem.dim)
-    y = z0
+    residual = math.inf
     status = "iter_cap"
     j = 0
     while j < config.max_total_iters:
@@ -86,11 +88,14 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
             break
         j += 1
         # doubling line search from a fixed x_tilde
-        f_xt, grad_xt = oracle.f_and_grad(x_tilde)
-        point = (x_tilde, grad_xt(), f_xt)
-        L, _, g_xt, y, f_y, _, grad_y = line_search(oracle, lambda L: point, L, 2.0, config.chi)
-        g_y = grad_y()
-        v = g_y - g_xt + L * (x_tilde - y)
+        f_xt = oracle.f(X_tilde)
+        point = (X_tilde, oracle.grad(X_tilde), f_xt)
+        L, _, g_xt, Y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0, config.chi)
+        if denom is None:  # the first x_tilde is z0
+            denom = residual_denominator(config.residual_mode, g_xt)
+        g_y = oracle.grad(Y)
+        y = Y[pt]
+        v = g_y - g_xt + L * (X_tilde[pt] - y)
         residual = float(np.linalg.norm(v)) / denom
         if math.isnan(residual):  # grad f(y) is not part of the line-search test
             raise RuntimeError(nan_message(
@@ -105,20 +110,20 @@ def _run_fista_bt(problem, config, z0, restart_on_value):
             phi_y = f_y + oracle.h(y)
             if phi_y > phi_prev:
                 t = 1.0
-                x_tilde = y
+                X_tilde = Y
                 restarts += 1
                 restarted = True
             phi_prev = phi_y
         if not restarted:
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            x_tilde = y + ((t - 1.0) / t_next) * (y - y_prev)
+            X_tilde = Y + ((t - 1.0) / t_next) * (Y - Y_prev)
             t = t_next
-        y_prev = y
+        Y_prev = Y
 
+    y = Y[pt].copy()  # holds no lifted point's image alive
     return SfistaOutput(
         y=y, v=v, xi=y, L_final=L, cycles=restarts + 1, total_iters=j,
-        counters=oracle.counters, status=status,
-        residual=float(np.linalg.norm(v)) / denom,
+        counters=oracle.counters, status=status, residual=residual,
         runtime_s=time.monotonic() - start,
     )
 
@@ -146,16 +151,17 @@ def _run_fixed_step(problem, config, z0, greedy):
     L_bar = _require_L(problem)
     gamma = (config.greedy_gamma_scale if greedy else 1.0) / L_bar
     oracle = CountingOracle(problem)
-    denom = residual_denominator(problem, z0, config.residual_mode)
+    pt = oracle.pt
 
     t = 1.0
-    y_prev = z0
-    x_tilde = z0
+    # lifted points, as in _run_fista_bt
+    Y_prev = X_tilde = Y = oracle.lift(z0)
+    denom = None
     restarts = 0
     grow_streak = 0
     step_prev = math.inf
     v = np.zeros(problem.dim)
-    y = z0
+    residual = math.inf
     status = "iter_cap"
     j = 0
     while j < config.max_total_iters:
@@ -163,9 +169,13 @@ def _run_fixed_step(problem, config, z0, greedy):
             status = "time_cap"
             break
         j += 1
-        g_xt = oracle.grad(x_tilde)
+        g_xt = oracle.grad(X_tilde)
+        if denom is None:  # the first x_tilde is z0
+            denom = residual_denominator(config.residual_mode, g_xt)
+        x_tilde = X_tilde[pt]
         y = oracle.prox(x_tilde - gamma * g_xt, gamma)
-        g_y = oracle.grad(y)
+        Y = oracle.lift(y)
+        g_y = oracle.grad(Y)
         v = g_y - g_xt + (x_tilde - y) / gamma
         residual = float(np.linalg.norm(v)) / denom
         if math.isnan(residual):  # no line search here to catch it
@@ -176,6 +186,7 @@ def _run_fixed_step(problem, config, z0, greedy):
             status = "converged"
             break
 
+        y_prev = Y_prev[pt]
         if config.greedy_safeguard:
             step = float(np.linalg.norm(y - y_prev))
             grow_streak = grow_streak + 1 if step > step_prev else 0
@@ -186,20 +197,20 @@ def _run_fixed_step(problem, config, z0, greedy):
 
         if gradient_restart_fires(y_prev, y, x_tilde):
             t = 1.0
-            x_tilde = y
+            X_tilde = Y
             restarts += 1
         elif greedy:
-            x_tilde = y + (y - y_prev)
+            X_tilde = Y + (Y - Y_prev)
         else:
             t_next = (config.rada_p + math.sqrt(config.rada_q + config.rada_r * t * t)) / 2.0
-            x_tilde = y + ((t - 1.0) / t_next) * (y - y_prev)
+            X_tilde = Y + ((t - 1.0) / t_next) * (Y - Y_prev)
             t = t_next
-        y_prev = y
+        Y_prev = Y
 
+    y = Y[pt].copy()  # holds no lifted point's image alive
     return SfistaOutput(
         y=y, v=v, xi=y, L_final=1.0 / gamma, cycles=restarts + 1, total_iters=j,
-        counters=oracle.counters, status=status,
-        residual=float(np.linalg.norm(v)) / denom,
+        counters=oracle.counters, status=status, residual=residual,
         runtime_s=time.monotonic() - start,
     )
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "SmoothFunction",
+    "QuadraticFunction",
     "CompositeProblem",
     "OracleCounters",
     "CountingOracle",
@@ -36,16 +36,20 @@ class SmoothFunction:
 
     image(z) holds what f and grad f at z have in common -- for f = g(Kz),
     the image Kz -- so f and grad f at one point share one image (the
-    smooth-function form of TFOCS; Becker, Candes and Grant, 2011).  Bind a
-    CompositeProblem's f_eval and f_grad to this object's `f_eval` and
-    `f_grad`: while both stay bound to the same SmoothFunction,
-    CountingOracle.f_and_grad computes the image once per point.
+    smooth-function form of TFOCS; Becker, Candes and Grant, 2011).  The
+    contract is that image is affine in z, entry by entry if it is a tuple
+    of arrays: image(w z1 + (1 - w) z2) = w image(z1) + (1 - w) image(z2).
+    Bind a CompositeProblem's f_eval and f_grad to this object's `f_eval`
+    and `f_grad`: while both stay bound to the same SmoothFunction,
+    CountingOracle computes the image once per point, or carries it (see
+    QuadraticFunction).
     """
 
     __slots__ = ("image", "value", "grad")
 
     def __init__(
-        self, image: Callable, value: Callable[..., float], grad: Callable[..., np.ndarray]
+        self, image: Callable[[np.ndarray], np.ndarray], value: Callable[..., float],
+        grad: Callable[..., np.ndarray],
     ):
         self.image = image
         self.value = value
@@ -56,6 +60,24 @@ class SmoothFunction:
 
     def f_grad(self, z: np.ndarray) -> np.ndarray:
         return self.grad(self.image(z))
+
+
+class QuadraticFunction(SmoothFunction):
+    """A SmoothFunction of a quadratic f: grad(image(z)) is affine in z too,
+    and image(z) is one flat ndarray.
+
+    The solvers carry the image and the gradient of a QuadraticFunction
+    through their affine combinations (x_tilde, the momentum point x), the
+    way TFOCS caches linear-operator images, so f and grad f there cost no
+    operator product; only prox outputs get a fresh image.  Any other
+    SmoothFunction has its image computed afresh at every point evaluated.
+    """
+
+    __slots__ = ()
+
+
+def _identity(z):
+    return z
 
 
 @dataclass(frozen=True)
@@ -117,7 +139,7 @@ def smooth_of(problem: CompositeProblem) -> SmoothFunction:
     smooth = getattr(f_eval, "__self__", None)
     if isinstance(smooth, SmoothFunction) and f_eval == smooth.f_eval and f_grad == smooth.f_grad:
         return smooth
-    return SmoothFunction(lambda z: z, f_eval, f_grad)
+    return SmoothFunction(_identity, f_eval, f_grad)
 
 
 class CountingOracle:
@@ -126,35 +148,62 @@ class CountingOracle:
     One instance per solve; the underlying problem stays immutable and
     shareable across concurrent solves.  grad and prox outputs whose shape is
     not (dim,) raise a ValueError naming the oracle.
+
+    The solvers hold each point z as a lifted point P = lift(z).  For a
+    QuadraticFunction P is z followed by its image and grad f(z); both are
+    affine in z, so an affine combination of lifted points is the lifted
+    point of the same combination of points, and one numpy expression moves
+    a point with its image and gradient.  For any other f, P is z itself,
+    and f and grad at one point share one image through a one-entry memo.
+    For the identity image (plain-callable or replaced oracles) f and grad
+    are the problem's own oracles, called at z itself.  f and grad count one
+    evaluation each, whether the image was computed, reused or carried.
     """
 
     def __init__(self, problem: CompositeProblem, counters: OracleCounters | None = None):
         self.problem = problem
         self.counters = counters if counters is not None else OracleCounters()
         self._shape = (problem.dim,)
-        self._smooth = smooth_of(problem)
+        smooth = smooth_of(problem)
+        image, value, grad, n = smooth.image, smooth.value, smooth.grad, problem.dim
+        # lift(z) is the lifted point of z, and P[pt] the point of P
+        if isinstance(smooth, QuadraticFunction):
+            self.pt = slice(n)
 
-    def f(self, z: np.ndarray) -> float:
+            def lift(z):
+                k = image(z)
+                return np.concatenate((z, k, grad(k)))
+
+            self.lift = lift
+            self._value_at = lambda P: value(P[n:-n])
+            self._grad_at = lambda P: P[-n:]
+        else:
+            self.pt = slice(None)
+            self.lift = _identity
+            last = [None, None]  # the last point evaluated and its image
+            # the solvers never write into a point, so identity marks it
+
+            def value_at(z):
+                if z is not last[0]:
+                    last[:] = z, image(z)
+                return value(last[1])
+
+            def grad_at(z):
+                if z is not last[0]:
+                    last[:] = z, image(z)
+                return grad(last[1])
+
+            self._value_at, self._grad_at = value_at, grad_at
+
+    def f(self, P: np.ndarray) -> float:
+        """f at the lifted point P."""
         self.counters.f_evals += 1
-        return float(self.problem.f_eval(z))
+        return float(self._value_at(P))
 
-    def grad(self, z: np.ndarray) -> np.ndarray:
+    def grad(self, P: np.ndarray) -> np.ndarray:
+        """grad f at the lifted point P."""
         self.counters.grad_evals += 1
-        return self._vector("grad", self.problem.f_grad(z))
-
-    def f_and_grad(self, z: np.ndarray) -> Tuple[float, Callable[[], np.ndarray]]:
-        """(f(z), grad) where grad() returns grad f(z) from the same image.
-
-        Counts one f evaluation now and one grad evaluation when grad runs, so
-        the counters mean what they mean for f and grad called apart.
-        """
-        self.counters.f_evals += 1
-        image = self._smooth.image(z)
-        return float(self._smooth.value(image)), partial(self._grad_from_image, image)
-
-    def _grad_from_image(self, image) -> np.ndarray:
-        self.counters.grad_evals += 1
-        return self._vector("grad", self._smooth.grad(image))
+        return self._vector("grad", self._grad_at(P))
 
     def prox(self, p: np.ndarray, lam: float) -> np.ndarray:
         self.counters.prox_evals += 1
@@ -170,12 +219,6 @@ class CountingOracle:
 
     def h(self, z: np.ndarray) -> float:
         return float(self.problem.h_eval(z))
-
-    def phi(self, z: np.ndarray) -> float:
-        hz = self.h(z)
-        if math.isinf(hz):
-            return math.inf
-        return self.f(z) + hz
 
 
 def eval_phi(problem: CompositeProblem, z: np.ndarray) -> float:
@@ -218,11 +261,15 @@ def relative_denominator(grad_f_z0: np.ndarray) -> float:
     return 1.0 + float(np.linalg.norm(grad_f_z0))
 
 
-def residual_denominator(problem: CompositeProblem, z0: np.ndarray, mode: str) -> float:
-    """Denominator of the residual test: relative_denominator in 'relative' mode, else 1."""
-    if mode == "relative":
-        return relative_denominator(problem.f_grad(z0))
-    return 1.0
+def residual_denominator(mode: str, grad_f_z0: np.ndarray) -> float:
+    """Denominator of the residual test: relative_denominator in 'relative' mode, else 1.
+
+    The solvers pass the gradient at their first x_tilde, which is z0 (for
+    RPF-SFISTA up to the rounding of (A y + a x) / (A + a) at A = 0), so
+    grad f(z0) is evaluated once, counted and shape-checked like every other
+    gradient.
+    """
+    return relative_denominator(grad_f_z0) if mode == "relative" else 1.0
 
 
 def line_search(
@@ -236,21 +283,23 @@ def line_search(
     satisfies ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y).
 
     trial_point(L) returns (x_tilde, grad f(x_tilde), f(x_tilde)) for the
-    current L.  Each trial y is evaluated with oracle.f_and_grad.  Returns
-    (L, x_tilde, grad, y, f(y), ell_f(y; x_tilde), grad_y) for the accepted
-    L, where grad_y() finishes grad f(y) from the image f(y) was computed
-    from.  Raises RuntimeError at the first NaN test value, naming the oracle
-    that produced it, and when L passes 1e30.
+    current L, with x_tilde lifted (CountingOracle.lift).  Each trial y is
+    lifted, which computes its image afresh.  Returns (L, x_tilde, grad, y,
+    f(y), ell_f(y; x_tilde)) for the accepted L, x_tilde and y lifted.
+    Raises RuntimeError at the first NaN test value, naming the oracle that
+    produced it, and when L passes 1e30.
     """
     while True:
-        x_tilde, g, f_xt = trial_point(L)
+        X_tilde, g, f_xt = trial_point(L)
+        x_tilde = X_tilde[oracle.pt]
         y = oracle.prox(x_tilde - g / L, 1.0 / L)
-        f_y, grad_y = oracle.f_and_grad(y)
+        Y = oracle.lift(y)
+        f_y = oracle.f(Y)
         d = y - x_tilde
         ell = f_xt + float(g @ d)
         test = ell - f_y + (1.0 - chi) * L * float(d @ d) / 4.0
         if test >= -_LS_SLACK * (1.0 + abs(f_y)):
-            return L, x_tilde, g, y, f_y, ell, grad_y
+            return L, X_tilde, g, Y, f_y, ell
         if math.isnan(test):
             raise RuntimeError(nan_message(
                 "line search", "the acceptance test",

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .core import CompositeProblem, SmoothFunction
+from .core import CompositeProblem, QuadraticFunction, SmoothFunction
 from .prox_ops import ProjectionSpec
 
 __all__ = [
@@ -117,7 +117,7 @@ def gen_lasso(
     At = A.T
     L = power_method_opnorm_sq(lambda v: A @ v, lambda v: At @ v, n)
 
-    smooth = SmoothFunction(
+    smooth = QuadraticFunction(
         image=lambda z: A @ z - b,
         value=lambda r: 0.5 * float(r @ r),
         grad=lambda r: At @ r,
@@ -229,6 +229,8 @@ def _gen_qp(
             r1, r2 = r
             return tau1 * (M1t @ r1) + tau2 * (Cmt @ r2)
 
+        # quadratic, but not a QuadraticFunction: carrying its gradient
+        # changes roundoff-decided iteration counts (README, "Smooth oracle")
         smooth = SmoothFunction(image, value, grad)
         pspec = spec(rng)
         problem = CompositeProblem(

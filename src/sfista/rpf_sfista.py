@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -95,7 +95,11 @@ class SfistaConfig:
 
 @dataclass
 class SfistaState:
-    """All per-iteration quantities of one cycle."""
+    """All per-iteration quantities of one cycle.
+
+    x, y, xi, x0_cycle and x_tilde are lifted points (CountingOracle.lift):
+    the point is their first `dim` entries, or all of them when dim is None.
+    """
 
     cycle: int
     j: int
@@ -108,6 +112,7 @@ class SfistaState:
     xi: np.ndarray
     x0_cycle: np.ndarray
     phi_xi: float
+    dim: Optional[int] = None
     # whether xi has left the cycle's start point (always true in exact
     # arithmetic after j = 1, by strict descent of the first prox step)
     xi_moved: bool = False
@@ -119,8 +124,6 @@ class SfistaState:
     grad_x_tilde: Optional[np.ndarray] = None
     f_y: float = math.nan
     ell_y: float = math.nan
-    # finishes grad f(y) from the line search's evaluation of f(y)
-    grad_y: Optional[Callable[[], np.ndarray]] = None
 
 
 @dataclass
@@ -163,7 +166,8 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
     Multiplies L by beta until the local descent inequality
     ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y) holds, then
     records (a, x_tilde, y, L) and the quantities needed downstream in the
-    state.  Every rejected L consumed one prox evaluation.
+    state.  Every rejected L consumed one prox evaluation.  x_tilde and y
+    are returned lifted (CountingOracle.lift).
     """
     A, tau = state.A, state.tau
     x_prev, y_prev = state.x, state.y
@@ -174,11 +178,11 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
         a = (tau + math.sqrt(tau * tau + 4.0 * tau * A * L)) / (2.0 * L)
         state.a = a
         x_tilde = (A * y_prev + a * x_prev) / (A + a)
-        f_xt, grad_xt = oracle.f_and_grad(x_tilde)
-        return x_tilde, grad_xt(), f_xt
+        f_xt = oracle.f(x_tilde)
+        return x_tilde, oracle.grad(x_tilde), f_xt
 
-    (state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y, state.ell_y,
-     state.grad_y) = line_search(oracle, trial_point, state.L, config.beta, config.chi)
+    (state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y,
+     state.ell_y) = line_search(oracle, trial_point, state.L, config.beta, config.chi)
     return state.a, state.x_tilde, y, state.L
 
 
@@ -218,11 +222,21 @@ def momentum_update(
 ) -> SfistaState:
     """Step-3 updates: best-point, A, tau, s, x, and the residual vector v.
 
-    The best-point tie (phi(y_j) equal to the incumbent) keeps y_j.  grad f(y_j)
-    comes from state.grad_y, which backtracking_step leaves for y_j, and from
-    oracle.grad(y_j) when the state carries none.
+    The best-point tie (phi(y_j) equal to the incumbent) keeps y_j.  y_j is
+    lifted, and x is updated as a lifted point.
+
+    An image carried in x does not drift, so it needs no refresh.
+    x = ((mu a / 2 + a L) y + tau_prev x - a L x_tilde) / tau and
+    x_tilde = (A y + a x) / (A + a), so an error e in the image of the old x
+    enters the new one with weight tau_prev / tau - (a L / tau) a / (A + a),
+    which is exactly 0 because a solves L a^2 = tau_prev (A + a).  y's image
+    is fresh, so each x image holds one step's rounding error.  The
+    certificate v stays exact whatever x_tilde's image is: grad f(y) is
+    fresh, and v lies in grad f(y) + dh(y) for the gradient the prox step
+    used.
     """
-    phi_y = state.f_y + oracle.h(y_j)
+    pt = slice(state.dim)
+    phi_y = state.f_y + oracle.h(y_j[pt])
     if phi_y <= state.phi_xi:
         state.xi = y_j
         state.phi_xi = phi_y
@@ -230,11 +244,10 @@ def momentum_update(
     tau_prev = state.tau
     state.A = state.A + a_prev
     state.tau = tau_prev + a_prev * state.mu / 2.0
-    s = L_j * (state.x_tilde - y_j)
-    state.x = (state.mu * a_prev * y_j / 2.0 + tau_prev * state.x - a_prev * s) / state.tau
-    state.s = s
-    grad_y, state.grad_y = state.grad_y, None
-    state.v = (grad_y() if grad_y is not None else oracle.grad(y_j)) - state.grad_x_tilde + s
+    S = L_j * (state.x_tilde - y_j)
+    state.x = (state.mu * a_prev * y_j / 2.0 + tau_prev * state.x - a_prev * S) / state.tau
+    state.s = S[pt]
+    state.v = oracle.grad(y_j) - state.grad_x_tilde + state.s
     state.y = y_j
     return state
 
@@ -251,11 +264,12 @@ def restart_check(state: SfistaState, config: SfistaConfig) -> str:
     """
     if not state.xi_moved:
         return "continue"
-    d = state.y - state.x_tilde
-    nd = float(np.linalg.norm(d))
-    if nd <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(state.x_tilde))):
+    pt = slice(state.dim)
+    x_tilde = state.x_tilde[pt]
+    nd = float(np.linalg.norm(state.y[pt] - x_tilde))
+    if nd <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))):
         return "continue"
-    lhs = float(np.linalg.norm(state.xi - state.x0_cycle)) ** 2
+    lhs = float(np.linalg.norm(state.xi[pt] - state.x0_cycle[pt])) ** 2
     rhs = config.chi * state.A * state.L * nd * nd
     return "continue" if lhs >= rhs else "restart"
 
@@ -296,10 +310,13 @@ def _clamp_m_lower(target: float, M_bar_prev: float, M_bar0: float) -> float:
     return min(max(target, lo), hi)
 
 
-def _cycle_start(cycle: int, L: float, mu: float, z: np.ndarray, phi_z: float) -> SfistaState:
-    """State at j = 1 of a cycle that starts from z with estimates L and mu."""
+def _cycle_start(
+    cycle: int, L: float, mu: float, z: np.ndarray, phi_z: float, dim: Optional[int]
+) -> SfistaState:
+    """State at j = 1 of a cycle that starts from the lifted point z with
+    estimates L and mu."""
     return SfistaState(cycle=cycle, j=1, A=0.0, tau=1.0, L=L, mu=mu,
-                       x=z, y=z, xi=z, x0_cycle=z, phi_xi=phi_z)
+                       x=z, y=z, xi=z, x0_cycle=z, phi_xi=phi_z, dim=dim)
 
 
 def solve_sfista(
@@ -310,14 +327,17 @@ def solve_sfista(
 
     start = time.monotonic()
     oracle = CountingOracle(problem)
-    denom = residual_denominator(problem, z0, config.residual_mode)
+    Z0 = oracle.lift(z0)
+    pt = oracle.pt
+    denom = None
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
     M_bar0 = config.M_lower_init
     mu = config.mu0  # None until bootstrapped
     cycle = 1
     total_iters = 0
-    state = _cycle_start(cycle, M_bar0, math.nan if mu is None else mu, z0, oracle.phi(z0))
+    state = _cycle_start(cycle, M_bar0, math.nan if mu is None else mu, Z0,
+                         oracle.f(Z0) + oracle.h(z0), pt.stop)
 
     while True:
         if total_iters >= config.max_total_iters:
@@ -328,17 +348,21 @@ def solve_sfista(
             break
         total_iters += 1
 
-        a, x_tilde, y, L = backtracking_step(state, oracle, config)
+        a, X_tilde, Y, L = backtracking_step(state, oracle, config)
+        if denom is None:
+            # the first x_tilde is z0 (A = 0), up to rounding
+            denom = residual_denominator(config.residual_mode, state.grad_x_tilde)
 
         if mu is None:
             # a0 and y1 never depend on mu (A0 = 0), so the bootstrap value
             # can be installed right before the first tau/x update.
-            mu = _bootstrap_mu(state.f_y, state.ell_y, y - x_tilde, x_tilde,
+            x_tilde = X_tilde[pt]
+            mu = _bootstrap_mu(state.f_y, state.ell_y, Y[pt] - x_tilde, x_tilde,
                                config.chi, config.M_lower_init)
             state.mu = mu
 
         tau_prev = state.tau
-        momentum_update(state, y, L, a, oracle)
+        momentum_update(state, Y, L, a, oracle)
 
         if trace is not None:
             trace.append(SfistaTraceRow(
@@ -346,8 +370,8 @@ def solve_sfista(
                 a=a, tau_prev=tau_prev,
                 v_norm=float(np.linalg.norm(state.v)), phi_xi=state.phi_xi,
                 restarted=False,
-                y=y.copy() if config.trace_vectors else None,
-                x_tilde=x_tilde.copy() if config.trace_vectors else None,
+                y=Y[pt].copy() if config.trace_vectors else None,
+                x_tilde=X_tilde[pt].copy() if config.trace_vectors else None,
                 s=state.s.copy() if config.trace_vectors else None,
                 mu=state.mu,
             ))
@@ -359,7 +383,7 @@ def solve_sfista(
             mu = config.mu_shrink * mu
             cycle += 1
             M_lower = _clamp_m_lower(config.M_reuse_factor * M_bar, M_bar, M_bar0)
-            state = _cycle_start(cycle, M_lower, mu, state.xi, state.phi_xi)
+            state = _cycle_start(cycle, M_lower, mu, state.xi, state.phi_xi, pt.stop)
             continue
 
         residual = float(np.linalg.norm(state.v)) / denom
@@ -368,7 +392,7 @@ def solve_sfista(
             # y finite, v is NaN only through it
             raise RuntimeError(nan_message(
                 "RPF-SFISTA", "the residual",
-                (("grad", state.grad_x_tilde), ("prox", state.y), ("grad", state.v)),
+                (("grad", state.grad_x_tilde), ("prox", Y[pt]), ("grad", state.v)),
             ))
         if residual <= config.eps_hat:
             status = "converged"
@@ -377,9 +401,11 @@ def solve_sfista(
         state.j += 1
 
     residual = float(np.linalg.norm(state.v)) / denom if state.v is not None else math.inf
+    # copies, so that an output holds no lifted point's image alive
+    y = state.y[pt].copy()
     return SfistaOutput(
-        y=state.y, v=state.v if state.v is not None else np.zeros(problem.dim),
-        xi=state.xi, L_final=state.L, cycles=cycle, total_iters=total_iters,
-        counters=oracle.counters, status=status, residual=residual, trace=trace,
-        runtime_s=time.monotonic() - start,
+        y=y, v=state.v if state.v is not None else np.zeros(problem.dim),
+        xi=y if state.xi is state.y else state.xi[pt].copy(), L_final=state.L,
+        cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,
+        residual=residual, trace=trace, runtime_s=time.monotonic() - start,
     )
