@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .core import (
     OracleCounters,
     SmoothFunction,
     check_start,
-    eval_phi,
     smooth_of,
 )
 from .rpf_sfista import SfistaConfig, SfistaOutput, _clamp_m_lower, solve_sfista

@@ -7,7 +7,7 @@ with a hyperplane, plain box, and the whole space (h = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

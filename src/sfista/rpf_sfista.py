@@ -69,7 +69,6 @@ class SfistaConfig:
     max_total_iters: int = 10**6
     time_limit: float = 7200.0
     trace: bool = False
-    trace_vectors: bool = False
 
     def __post_init__(self):
         if self.beta <= 1:
@@ -138,11 +137,11 @@ class SfistaTraceRow:
     v_norm: float
     phi_xi: float
     restarted: bool
-    # vector snapshot for estimate-sequence diagnostics (trace_vectors only)
-    y: Optional[np.ndarray] = None
-    x_tilde: Optional[np.ndarray] = None
-    s: Optional[np.ndarray] = None
-    mu: float = math.nan
+    # vector snapshot for estimate-sequence diagnostics
+    y: np.ndarray
+    x_tilde: np.ndarray
+    s: np.ndarray
+    mu: float
 
 
 @dataclass
@@ -370,9 +369,7 @@ def solve_sfista(
                 a=a, tau_prev=tau_prev,
                 v_norm=float(np.linalg.norm(state.v)), phi_xi=state.phi_xi,
                 restarted=False,
-                y=Y[pt].copy() if config.trace_vectors else None,
-                x_tilde=X_tilde[pt].copy() if config.trace_vectors else None,
-                s=state.s.copy() if config.trace_vectors else None,
+                y=Y[pt].copy(), x_tilde=X_tilde[pt].copy(), s=state.s.copy(),
                 mu=state.mu,
             ))
 

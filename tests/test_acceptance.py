@@ -125,9 +125,9 @@ def test_criterion_05_estimate_sequence_minorant():
     t0 = time.perf_counter()
     prob, z0 = gen_qp_simplex(60, 60, 100.0, 1e-4, 1e2, seed=42)
     cfg = SfistaConfig(eps_hat=1e-9, residual_mode="absolute",
-                       mu0=prob.known_mu_f / 2.0, trace=True, trace_vectors=True)
+                       mu0=prob.known_mu_f / 2.0, trace=True)
     out = solve_sfista(prob, cfg, z0)
-    rows = [r for r in out.trace if r.y is not None]
+    rows = out.trace
     stride = max(1, len(rows) // 50)
     rows = rows[::stride][:50]
     rng = np.random.default_rng(1)

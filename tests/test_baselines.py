@@ -134,10 +134,10 @@ def test_counters_track_line_search():
     assert out.counters.prox_evals > out.total_iters
 
 
-def test_greedy_safeguard_halves_stepsize():
-    # flag-gated off by default; smoke-test that enabling it still converges
-    prob, z0 = gen_lasso_random(40, 80, 2.0, seed=2)
-    cfg = BaselineConfig(eps_hat=1e-8, residual_mode="relative",
-                         greedy_safeguard=True, max_total_iters=10**5)
-    out = solve_greedy_fista(prob, cfg, z0)
-    assert out.status == "converged"
+@pytest.mark.parametrize("bad", [
+    {"L0": 0.0}, {"L0": -1.0}, {"chi": 0.0}, {"chi": 1.5}, {"eps_hat": -1.0},
+    {"eps_hat": float("nan")}, {"residual_mode": "relativ"}, {"greedy_gamma_scale": 0.0},
+])
+def test_config_validation(bad):
+    with pytest.raises(ValueError):
+        BaselineConfig(**bad)

@@ -322,8 +322,7 @@ def test_output_contract_phi_xi_best():
 
 def _traced_lasso(eps=1e-10):
     prob, z0 = gen_lasso_random(60, 120, 5.0, seed=11)
-    cfg = SfistaConfig(eps_hat=eps, residual_mode="relative",
-                       trace=True, trace_vectors=True)
+    cfg = SfistaConfig(eps_hat=eps, residual_mode="relative", trace=True)
     return prob, solve_sfista(prob, cfg, z0)
 
 
@@ -368,8 +367,6 @@ def test_invariant_v_bound():
     prob, out = _traced_lasso()
     L_bar = prob.known_L
     for row in out.trace:
-        if row.y is None:
-            continue
         step = float(np.linalg.norm(row.y - row.x_tilde))
         assert row.v_norm <= (L_bar + row.L) * step + 1e-9
 
@@ -398,13 +395,13 @@ def test_gamma_minorant_when_mu_below_modulus():
     # fixed mu <= mu_f: gamma_j lower-bounds phi at random feasible points
     prob, z0 = gen_qp_simplex(30, 30, 100.0, 1e-4, 1e2, seed=9)
     cfg = SfistaConfig(eps_hat=1e-9, residual_mode="absolute",
-                       mu0=prob.known_mu_f / 2.0, trace=True, trace_vectors=True)
+                       mu0=prob.known_mu_f / 2.0, trace=True)
     out = solve_sfista(prob, cfg, z0)
     rng = np.random.default_rng(1)
     from sfista.core import eval_phi
     from sfista.prox_ops import project_simplex
 
-    rows = [r for r in out.trace if r.y is not None][::5][:20]
+    rows = out.trace[::5][:20]
     for row in rows:
         snap = GammaSnapshot(y=row.y, x_tilde=row.x_tilde, s=row.s, mu=row.mu)
         for _ in range(10):
