@@ -13,11 +13,13 @@ from .core import (
     eval_phi,
 )
 from .prox_ops import (
-    ProjectionSpec,
-    project_box_hyperplane,
+    Box,
+    BoxHyperplane,
+    ConvexSet,
+    L1Ball,
+    Simplex,
     project_l1_ball,
     project_simplex,
-    prox_of,
 )
 from .rpf_sfista import (
     GammaSnapshot,
@@ -65,8 +67,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction",
     "QuadraticFunction", "eval_phi",
-    "ProjectionSpec", "project_simplex", "project_l1_ball",
-    "project_box_hyperplane", "prox_of",
+    "ConvexSet", "Simplex", "L1Ball", "Box", "BoxHyperplane",
+    "project_simplex", "project_l1_ball",
     "SfistaConfig", "SfistaOutput", "SfistaTraceRow", "GammaSnapshot",
     "solve_sfista", "bootstrap_mu0", "eval_gamma",
     "ARegConfig", "ARegOutput", "build_subproblem", "outer_residual", "solve_areg",

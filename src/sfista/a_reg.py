@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -24,6 +24,10 @@ from .core import (
     smooth_of,
 )
 from .rpf_sfista import SfistaConfig, SfistaOutput, _clamp_m_lower, solve_sfista
+
+# first L of the first subproblem, and its floor in every later one
+_N0 = 10.0
+_MAX_OUTER_ITERS = 100
 
 __all__ = [
     "ARegConfig",
@@ -40,23 +44,20 @@ class ARegConfig:
     """Outer-loop inputs.
 
     B scales the inner solver's initial strong-convexity estimate above the
-    certified modulus delta of the regularized subproblem (B >= 1).
+    certified modulus delta of the regularized subproblem (B >= 1).  The
+    inner solves otherwise use SfistaConfig's defaults.
     """
 
     B: float = 10.0
     delta0: float = 1.0
-    N0: float = 10.0
-    N_reuse_factor: float = 0.4
     eps: float = 1e-8
-    inner: SfistaConfig = field(default_factory=SfistaConfig)
-    max_outer_iters: int = 100
     time_limit: float = 7200.0
 
     def __post_init__(self):
         if self.B < 1:
             raise ValueError("B must be at least 1")
-        if self.delta0 <= 0 or self.N0 <= 0:
-            raise ValueError("delta0 and N0 must be positive")
+        if self.delta0 <= 0:
+            raise ValueError("delta0 must be positive")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
 
@@ -141,22 +142,21 @@ def solve_areg(
 
     delta = config.delta0
     theta = theta0
-    N_bar_prev = config.N0
+    N_bar_prev = _N0
     status = "iter_cap"
     w = theta0
     r = np.full(problem.dim, math.inf)
 
-    for k in range(1, config.max_outer_iters + 1):
+    for k in range(1, _MAX_OUTER_ITERS + 1):
         elapsed = time.monotonic() - start
         if elapsed > config.time_limit:
             status = "time_cap"
             break
 
         # N_bar_prev = N0 at k = 1, where the clamp returns exactly N0
-        N_lower = _clamp_m_lower(config.N_reuse_factor * N_bar_prev, N_bar_prev, config.N0)
+        N_lower = _clamp_m_lower(N_bar_prev, _N0)
         sub = build_subproblem(problem, delta, theta)
-        inner_cfg = replace(
-            config.inner,
+        inner_cfg = SfistaConfig(
             mu0=config.B * delta,
             M_lower_init=N_lower,
             eps_hat=config.eps / 6.0,

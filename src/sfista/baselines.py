@@ -41,23 +41,18 @@ class BaselineConfig:
 
     L0 seeds the doubling line search of the backtracking variants.  The
     fixed-step variants need the global Lipschitz constant: gamma is 1/L for
-    the adaptive-momentum method and greedy_gamma_scale/L for the greedy one.
-    rada_p, rada_q, rada_r parameterize the adaptive momentum sequence.
+    the adaptive-momentum method and 1.3/L for the greedy one (`_RULES`).
     """
 
     L0: float = 10.0
     chi: float = 0.001
-    rada_p: float = 0.5
-    rada_q: float = 0.5
-    rada_r: float = 4.0
-    greedy_gamma_scale: float = 1.3
     eps_hat: float = 1e-8
     residual_mode: str = "relative"
     max_total_iters: int = 10**6
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        for name in ("L0", "greedy_gamma_scale", "eps_hat"):
+        for name in ("L0", "eps_hat"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.chi < 1:
@@ -71,22 +66,21 @@ def gradient_restart_fires(y_prev: np.ndarray, y: np.ndarray, x_tilde: np.ndarra
     return float((y_prev - y) @ (y - x_tilde)) > 0.0
 
 
-# (step, restart, momentum) of each method, read from its config.  step: None
-# for the doubling line search from L0, else the fixed step gamma times
-# known_L.  restart: None, "value" (phi(y) increased) or "gradient"
-# (O'Donoghue and Candes, 2015).  momentum: the (p, q, r) of
-# t_next = (p + sqrt(q + r t^2)) / 2, or None for theta = 1 (Greedy FISTA,
-# Liang, Luo and Schoenlieb, 2022).
+# (step, restart, momentum) of each method.  step: None for the doubling
+# line search from L0, else the fixed step gamma times known_L.  restart:
+# None, "value" (phi(y) increased) or "gradient" (O'Donoghue and Candes,
+# 2015).  momentum: the (p, q, r) of t_next = (p + sqrt(q + r t^2)) / 2, or
+# None for theta = 1 (Greedy FISTA, Liang, Luo and Schoenlieb, 2022).
 _RULES = {
-    "fista-bt": lambda c: (None, None, (1.0, 1.0, 4.0)),
-    "fista-r": lambda c: (None, "value", (1.0, 1.0, 4.0)),
-    "rada": lambda c: (1.0, "gradient", (c.rada_p, c.rada_q, c.rada_r)),
-    "greedy": lambda c: (c.greedy_gamma_scale, "gradient", None),
+    "fista-bt": (None, None, (1.0, 1.0, 4.0)),
+    "fista-r": (None, "value", (1.0, 1.0, 4.0)),
+    "rada": (1.0, "gradient", (0.5, 0.5, 4.0)),
+    "greedy": (1.3, "gradient", None),
 }
 
 
 def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
-    step, restart, momentum = _RULES[method](config)
+    step, restart, momentum = _RULES[method]
     z0 = check_start(problem, z0)
     start = time.monotonic()
     L, gamma = config.L0, None
@@ -182,6 +176,6 @@ def solve_rada_fista(problem: CompositeProblem, config: BaselineConfig, z0: np.n
 
 
 def solve_greedy_fista(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
-    """Fixed-step FISTA with unit momentum, stepsize greedy_gamma_scale/L
-    (1.3/L by default) and gradient restarts."""
+    """Fixed-step FISTA with unit momentum, stepsize 1.3/L and gradient
+    restarts."""
     return _run("greedy", problem, config, z0)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import CompositeProblem, QuadraticFunction, SmoothFunction
-from .prox_ops import ProjectionSpec
+from .prox_ops import BoxHyperplane, ConvexSet, L1Ball, Simplex
 
 __all__ = [
     "InstanceSpec",
@@ -76,8 +76,7 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    ball = L1Ball(C)
     rng = np.random.default_rng(seed)
     A = rng.uniform(0.0, 1.0, size=(m, n))
     w_true = rng.standard_normal(n)
@@ -91,11 +90,9 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
         value=lambda t: float(np.logaddexp(0.0, t).sum()),
         grad=lambda t: D.T @ (1.0 / (1.0 + np.exp(-t))),
     )
-    spec = ProjectionSpec(kind="l1_ball", radius=C)
     problem = CompositeProblem(
         dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
-        h_prox=lambda p, lam: spec.project(p), h_eval=spec.indicator,
-        known_L=L, known_mu_f=0.0,
+        h_prox=ball.prox, h_eval=ball.indicator, known_L=L, known_mu_f=0.0,
     )
     z0 = _random_l1_point(rng, n, C)
     return problem, z0
@@ -108,8 +105,7 @@ def gen_lasso(
 
     Accepts a dense array or a scipy sparse matrix.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    ball = L1Ball(C)
     b = np.asarray(b, dtype=float)
     m, n = A.shape
     if b.shape != (m,):
@@ -122,11 +118,9 @@ def gen_lasso(
         value=lambda r: 0.5 * float(r @ r),
         grad=lambda r: At @ r,
     )
-    spec = ProjectionSpec(kind="l1_ball", radius=C)
     problem = CompositeProblem(
         dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
-        h_prox=lambda p, lam: spec.project(p), h_eval=spec.indicator,
-        known_L=L, known_mu_f=0.0,
+        h_prox=ball.prox, h_eval=ball.indicator, known_L=L, known_mu_f=0.0,
     )
     rng = np.random.default_rng(seed)
     z0 = _random_l1_point(rng, n, C)
@@ -196,8 +190,8 @@ def _calibrate_quadratic(H1: np.ndarray, H2: np.ndarray, mu_target: float, L_tar
 
 def _gen_qp(
     m: int, n: int, alpha: float, mu_target: float, L_target: float, seed: int,
-    spec: Callable[[np.random.Generator], ProjectionSpec],
-    z0_rule: Callable[[np.random.Generator, ProjectionSpec], np.ndarray],
+    constraint: ConvexSet,
+    z0_rule: Callable[[np.random.Generator], np.ndarray],
     max_redraws: int = 10,
 ):
     if mu_target <= 0 or L_target <= 0 or mu_target > L_target:
@@ -232,14 +226,12 @@ def _gen_qp(
         # quadratic, but not a QuadraticFunction: carrying its gradient
         # changes roundoff-decided iteration counts (README, "Smooth oracle")
         smooth = SmoothFunction(image, value, grad)
-        pspec = spec(rng)
         problem = CompositeProblem(
             dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
-            h_prox=lambda p, lam, pspec=pspec: pspec.project(p),
-            h_eval=pspec.indicator,
+            h_prox=constraint.prox, h_eval=constraint.indicator,
             known_L=L_actual, known_mu_f=mu_actual,
         )
-        z0 = z0_rule(rng, pspec)
+        z0 = z0_rule(rng)
         return problem, z0
     raise RuntimeError(
         f"curvature calibration infeasible for targets ({mu_target:g}, {L_target:g}) "
@@ -252,15 +244,11 @@ def gen_qp_simplex(
 ) -> Tuple[CompositeProblem, np.ndarray]:
     """Dense quadratic over the probability simplex, curvature-calibrated."""
 
-    def z0_rule(rng, pspec):
+    def z0_rule(rng):
         x_hat = rng.uniform(0.0, 1.0, size=n)
         return x_hat / x_hat.sum()
 
-    return _gen_qp(
-        m, n, alpha, mu_target, L_target, seed,
-        spec=lambda rng: ProjectionSpec(kind="simplex"),
-        z0_rule=z0_rule,
-    )
+    return _gen_qp(m, n, alpha, mu_target, L_target, seed, Simplex(), z0_rule)
 
 
 def gen_qp_box(
@@ -283,15 +271,12 @@ def gen_qp_box(
     else:
         raise ValueError(f"unknown a_pattern {a_pattern!r}")
 
-    def z0_rule(rng, pspec):
-        z = rng.uniform(-r, r, size=n)
-        return pspec.project(z)
+    constraint = BoxHyperplane(a, b, r)
 
-    return _gen_qp(
-        m, n, alpha, mu_target, L_target, seed,
-        spec=lambda rng: ProjectionSpec(kind="box_hyperplane", a=a, b=b, r=r),
-        z0_rule=z0_rule,
-    )
+    def z0_rule(rng):
+        return constraint.project(rng.uniform(-r, r, size=n))
+
+    return _gen_qp(m, n, alpha, mu_target, L_target, seed, constraint, z0_rule)
 
 
 def power_method_opnorm_sq(

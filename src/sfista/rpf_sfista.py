@@ -63,7 +63,6 @@ class SfistaConfig:
     M_lower_init: float = 10.0
     mu0: Optional[float] = None
     mu_shrink: float = 0.5
-    M_reuse_factor: float = 0.4
     eps_hat: float = 1e-8
     residual_mode: str = "absolute"
     max_total_iters: int = 10**6
@@ -166,7 +165,9 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
     ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y) holds, then
     records (a, x_tilde, y, L) and the quantities needed downstream in the
     state.  Every rejected L consumed one prox evaluation.  x_tilde and y
-    are returned lifted (CountingOracle.lift).
+    are returned lifted (CountingOracle.lift).  Raises RuntimeError when the
+    step weight overflows, which a long enough cycle reaches through the
+    growth of A and tau.
     """
     A, tau = state.A, state.tau
     x_prev, y_prev = state.x, state.y
@@ -175,6 +176,11 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
         # x_tilde moves with L through the step weight a; the last trial's a
         # is the accepted one
         a = (tau + math.sqrt(tau * tau + 4.0 * tau * A * L)) / (2.0 * L)
+        if math.isinf(A + a):
+            raise RuntimeError(
+                f"RPF-SFISTA: the step weight overflowed in cycle {state.cycle} at "
+                f"j = {state.j} (A = {A:.3g}, tau = {tau:.3g}, L = {L:.3g})"
+            )
         state.a = a
         x_tilde = (A * y_prev + a * x_prev) / (A + a)
         f_xt = oracle.f(x_tilde)
@@ -299,14 +305,15 @@ def eval_gamma(snapshot: GammaSnapshot, problem: CompositeProblem, x: np.ndarray
     return phi_y + 2.0 * (ell - f_y) + float(s @ d) + mu / 4.0 * float(d @ d)
 
 
-def _clamp_m_lower(target: float, M_bar_prev: float, M_bar0: float) -> float:
-    lo = max(0.25 * M_bar_prev, M_bar0)
-    hi = M_bar_prev
-    if lo > hi:
-        # M_bar0 exceeds the previous cycle's exit L; the legal interval
-        # degenerates to its upper end.
-        return hi
-    return min(max(target, lo), hi)
+def _clamp_m_lower(prev: float, floor: float) -> float:
+    """First L of a new cycle (or A-REG subproblem) after one that exited
+    with L = prev: 0.4 prev, clamped to [max(prev / 4, floor), prev]."""
+    lo = max(0.25 * prev, floor)
+    if lo > prev:
+        # floor exceeds the previous exit L; the legal interval degenerates
+        # to its upper end.
+        return prev
+    return min(max(0.4 * prev, lo), prev)
 
 
 def _cycle_start(
@@ -379,7 +386,7 @@ def solve_sfista(
             M_bar = state.L
             mu = config.mu_shrink * mu
             cycle += 1
-            M_lower = _clamp_m_lower(config.M_reuse_factor * M_bar, M_bar, M_bar0)
+            M_lower = _clamp_m_lower(M_bar, M_bar0)
             state = _cycle_start(cycle, M_lower, mu, state.xi, state.phi_xi, pt.stop)
             continue
 

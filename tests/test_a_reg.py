@@ -12,7 +12,7 @@ from sfista.a_reg import (
     solve_areg,
 )
 from sfista.core import CompositeProblem, eval_phi, grad_fd_check
-from sfista.prox_ops import ProjectionSpec
+from sfista.prox_ops import Box
 
 
 def _free(f_eval, f_grad, dim, **kw):
@@ -27,17 +27,17 @@ def _rank_deficient_box_qp(n=50, m=20, seed=0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    spec = ProjectionSpec(kind="box", lo=-np.ones(n), hi=np.ones(n))
+    box = Box(-np.ones(n), np.ones(n))
     prob = CompositeProblem(
         dim=n,
         f_eval=lambda z: 0.5 * float(((A @ z - b) ** 2).sum()),
         f_grad=lambda z: A.T @ (A @ z - b),
-        h_prox=lambda p, lam: spec.project(p),
-        h_eval=spec.indicator,
+        h_prox=box.prox,
+        h_eval=box.indicator,
         known_L=float(np.linalg.eigvalsh(A.T @ A)[-1]),
         known_mu_f=0.0,
     )
-    return prob, A, spec
+    return prob, A, box
 
 
 def test_config_validation():
@@ -147,7 +147,7 @@ def test_areg_eps_inf_trivial():
 
 
 def test_areg_contract_on_rank_deficient_qp():
-    prob, A, spec = _rank_deficient_box_qp(n=20, m=8, seed=1)
+    prob, A, _ = _rank_deficient_box_qp(n=20, m=8, seed=1)
     eps = 1e-8
     out = solve_areg(prob, ARegConfig(eps=eps), np.zeros(20))
     assert out.status == "converged"
@@ -165,7 +165,7 @@ def test_areg_contract_on_rank_deficient_qp():
 
 
 def test_areg_inclusion_certificate():
-    prob, A, spec = _rank_deficient_box_qp(n=20, m=8, seed=2)
+    prob, A, _ = _rank_deficient_box_qp(n=20, m=8, seed=2)
     out = solve_areg(prob, ARegConfig(eps=1e-8), np.zeros(20))
     assert out.status == "converged"
     rng = np.random.default_rng(0)

@@ -28,12 +28,7 @@ from sfista.problems import (
     gen_qp_simplex,
     make_instance,
 )
-from sfista.prox_ops import (
-    ProjectionSpec,
-    project_box_hyperplane,
-    project_l1_ball,
-    project_simplex,
-)
+from sfista.prox_ops import Box, BoxHyperplane, project_l1_ball, project_simplex
 from sfista.rpf_sfista import GammaSnapshot, SfistaConfig, eval_gamma, solve_sfista
 
 
@@ -168,7 +163,7 @@ def test_criterion_06_projection_oracle_equivalence():
             a = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)
             r = float(rng.uniform(0.5, 3.0))
             b = float(rng.uniform(-0.5, 0.5) * r * np.abs(a).sum())
-            got = project_box_hyperplane(v, a, b, r)
+            got = BoxHyperplane(a, b, r).project(v)
             want = oracle_box_hyperplane(v, a, b, r)
         worst = max(worst, float(np.max(np.abs(got - want))))
         # idempotence and nonexpansiveness alongside the equivalence check
@@ -259,13 +254,13 @@ def test_criterion_09_regularization_outer_loop_contract():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    spec = ProjectionSpec(kind="box", lo=-np.ones(n), hi=np.ones(n))
+    box = Box(-np.ones(n), np.ones(n))
     prob = CompositeProblem(
         dim=n,
         f_eval=lambda z: 0.5 * float(((A @ z - b) ** 2).sum()),
         f_grad=lambda z: A.T @ (A @ z - b),
-        h_prox=lambda p, lam: spec.project(p),
-        h_eval=spec.indicator,
+        h_prox=box.prox,
+        h_eval=box.indicator,
         known_L=float(np.linalg.eigvalsh(A.T @ A)[-1]),
         known_mu_f=0.0,
     )

@@ -136,7 +136,7 @@ def test_counters_track_line_search():
 
 @pytest.mark.parametrize("bad", [
     {"L0": 0.0}, {"L0": -1.0}, {"chi": 0.0}, {"chi": 1.5}, {"eps_hat": -1.0},
-    {"eps_hat": float("nan")}, {"residual_mode": "relativ"}, {"greedy_gamma_scale": 0.0},
+    {"eps_hat": float("nan")}, {"residual_mode": "relativ"},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

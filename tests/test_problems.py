@@ -19,7 +19,6 @@ from sfista.problems import (
     make_instance,
     power_method_opnorm_sq,
 )
-from sfista.prox_ops import ProjectionSpec
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sfista.prox_ops import (
-    ProjectionSpec,
-    project_box_hyperplane,
+    Box,
+    BoxHyperplane,
+    L1Ball,
+    Simplex,
     project_l1_ball,
     project_simplex,
-    prox_of,
 )
 
 
@@ -124,7 +125,7 @@ def test_box_hyperplane_matches_oracle():
         r = float(rng.uniform(0.5, 3.0))
         b = float(rng.uniform(-0.8, 0.8) * r * np.abs(a).sum())
         v = rng.uniform(-2 * r, 2 * r, size=n)
-        got = project_box_hyperplane(v, a, b, r)
+        got = BoxHyperplane(a, b, r).project(v)
         want = oracle_box_hyperplane(v, a, b, r)
         assert want is not None
         np.testing.assert_allclose(got, want, atol=1e-7)
@@ -169,10 +170,10 @@ def test_box_hyperplane_known_value():
     # free solution v - lam*a already in the box
     v = np.array([1.0, -1.0])
     a = np.array([1.0, 1.0])
-    got = project_box_hyperplane(v, a, 0.0, 5.0)
+    got = BoxHyperplane(a, 0.0, 5.0).project(v)
     np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-10)
     # clipping active
-    got = project_box_hyperplane(np.array([10.0, 0.0]), a, 0.0, 1.0)
+    got = BoxHyperplane(a, 0.0, 1.0).project(np.array([10.0, 0.0]))
     np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-9)
 
 
@@ -181,13 +182,13 @@ def test_box_hyperplane_oracle_is_exact():
     v, a, b, r = np.array([0.0, 500.0]), np.array([-2.0, -2.0]), 2e-9, 0.5
     want = [-0.5, 0.499999999]
     assert oracle_box_hyperplane(v, a, b, r).tolist() == want
-    np.testing.assert_allclose(project_box_hyperplane(v, a, b, r), want, rtol=0,
+    np.testing.assert_allclose(BoxHyperplane(a, b, r).project(v), want, rtol=0,
                                atol=1e-14 * (1 + 500.0))
 
 
 def test_box_hyperplane_infeasible_raises():
     with pytest.raises(ValueError):
-        project_box_hyperplane(np.zeros(2), np.ones(2), 100.0, 1.0)
+        BoxHyperplane(np.ones(2), 100.0, 1.0)
 
 
 def test_empty_vector_raises():
@@ -199,7 +200,7 @@ def test_empty_vector_raises():
 @pytest.mark.parametrize("project", [
     project_simplex,
     lambda v: project_l1_ball(v, 1.0),
-    lambda v: project_box_hyperplane(v, np.ones(3), 0.0, 1.0),
+    lambda v: BoxHyperplane(np.ones(3), 0.0, 1.0).project(v),
 ], ids=["simplex", "l1_ball", "box_hyperplane"])
 def test_nonfinite_input_raises(project, bad):
     with pytest.raises(ValueError, match="NaN or infinite"):
@@ -258,10 +259,11 @@ def test_box_hyperplane_idempotent_and_feasible(vals, r):
     v = np.asarray(vals)
     a = np.ones(v.size)
     a[-1] = -1.0
-    p = project_box_hyperplane(v, a, 0.0, r)
+    C = BoxHyperplane(a, 0.0, r)
+    p = C.project(v)
     assert np.all(np.abs(p) <= r + 1e-10)
     assert abs(a @ p) <= 1e-9 * (1 + r * v.size)
-    p2 = project_box_hyperplane(p, a, 0.0, r)
+    p2 = C.project(p)
     np.testing.assert_allclose(p2, p, atol=1e-8)
 
 
@@ -273,8 +275,8 @@ def test_box_hyperplane_nonexpansive(u_vals, v_vals):
     u, v = np.asarray(u_vals[:n]), np.asarray(v_vals[:n])
     a = np.ones(n)
     a[-1] = -1.0
-    pu = project_box_hyperplane(u, a, 0.0, 2.0)
-    pv = project_box_hyperplane(v, a, 0.0, 2.0)
+    C = BoxHyperplane(a, 0.0, 2.0)
+    pu, pv = C.project(u), C.project(v)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-7
 
 
@@ -308,7 +310,7 @@ def _box_hyperplane_case(draw):
 @given(_box_hyperplane_case())
 def test_box_hyperplane_exact_on_edge_cases(case):
     v, a, b, r, kind = case
-    z = project_box_hyperplane(v, a, b, r)
+    z = BoxHyperplane(a, b, r).project(v)
     vmax = np.abs(v).max()
     assert np.all(np.abs(z) <= r)
     assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
@@ -320,39 +322,71 @@ def test_box_hyperplane_exact_on_edge_cases(case):
 
 
 # ---------------------------------------------------------------------------
-# ProjectionSpec plumbing
+# constraint-set objects
 
 
-def test_spec_free():
-    spec = ProjectionSpec(kind="free")
-    v = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(spec.project(v), v)
-    assert spec.indicator(v) == 0.0
+@st.composite
+def _set_and_point(draw):
+    """One of the four sets with drawn parameters, and a v of its dimension
+    with entries up to 1e6 times the set's size (1, the radius or r).
+
+    contains() admits a violation of 1e-9 times the set's size, and roundoff
+    in a projection is ~1e-16 |v|, so at |v| beyond ~1e7 times the size the
+    indicator can reject a correct projection.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["simplex", "l1_ball", "box", "box_hyperplane"]))
+    size = 1.0
+    if kind == "simplex":
+        C = Simplex()
+    elif kind == "l1_ball":
+        size = draw(st.floats(1e-3, 1e3))
+        C = L1Ball(size)
+    elif kind == "box":
+        lo = np.array(draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+        width = np.array(draw(st.lists(st.floats(0, 10), min_size=n, max_size=n)))
+        C = Box(lo, lo + width)
+    else:
+        a = np.array(draw(st.lists(_coef, min_size=n, max_size=n)))
+        assume(np.any(a))
+        size = draw(st.floats(0.1, 10.0))
+        C = BoxHyperplane(a, draw(st.floats(-1.0, 1.0)) * size * np.abs(a).sum(), size)
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6])) * size
+    v = np.array(draw(st.lists(st.floats(-scale, scale), min_size=n, max_size=n)))
+    return C, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_set_and_point())
+def test_projection_is_in_the_set(case):
+    C, v = case
+    assert C.indicator(C.project(v)) == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_set_and_point(), st.floats(1e-12, 1e12), st.floats(max_value=0.0) | st.just(np.nan))
+def test_prox_is_projection_for_positive_lam(case, lam, bad_lam):
+    C, v = case
+    assert C.prox(v, lam).tobytes() == C.project(v).tobytes()
+    with pytest.raises(ValueError, match="prox step must be positive"):
+        C.prox(v, bad_lam)
 
 
 def test_spec_box():
-    spec = ProjectionSpec(kind="box", lo=-np.ones(2), hi=np.ones(2))
-    np.testing.assert_allclose(spec.project(np.array([3.0, -0.5])), [1.0, -0.5])
-    assert spec.indicator(np.array([2.0, 0.0])) == np.inf
+    C = Box(-np.ones(2), np.ones(2))
+    np.testing.assert_allclose(C.project(np.array([3.0, -0.5])), [1.0, -0.5])
+    assert C.indicator(np.array([2.0, 0.0])) == np.inf
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ProjectionSpec(kind="l1_ball")
-    with pytest.raises(ValueError):
-        ProjectionSpec(kind="box_hyperplane", a=np.zeros(3), b=0.0, r=1.0)
-    with pytest.raises(ValueError):
-        ProjectionSpec(kind="nope")
-    with pytest.raises(ValueError):
-        ProjectionSpec(kind="box", lo=np.ones(2), hi=-np.ones(2))
-
-
-def test_prox_of_is_projection_and_lambda_independent():
-    spec = ProjectionSpec(kind="l1_ball", radius=1.0)
-    v = np.array([2.0, 0.0])
-    p1 = prox_of(spec, v, 0.1)
-    p2 = prox_of(spec, v, 10.0)
-    np.testing.assert_array_equal(p1, p2)
-    np.testing.assert_allclose(p1, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        prox_of(spec, v, 0.0)
+    for bad_radius in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            L1Ball(bad_radius)
+    with pytest.raises(ValueError, match="box is empty"):
+        Box(np.ones(2), -np.ones(2))
+    with pytest.raises(ValueError, match="normal a must be nonzero"):
+        BoxHyperplane(np.zeros(3), 0.0, 1.0)
+    with pytest.raises(ValueError, match="half-width r must be positive"):
+        BoxHyperplane(np.ones(3), 0.0, 0.0)
+    with pytest.raises(ValueError, match="is empty"):
+        BoxHyperplane(np.ones(3), 3.5, 1.0)

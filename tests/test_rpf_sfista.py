@@ -131,6 +131,20 @@ def test_line_search_overflow_raises():
         backtracking_step(state, oracle, SfistaConfig())
 
 
+def test_step_weight_overflow_raises():
+    # A, tau and L where 4 tau A L overflows: the first inner cycle of A-REG
+    # at eps 1e-13 on logistic-m120-n80-s45 reached them, and the inf step
+    # weight made x_tilde NaN
+    state = SfistaState(
+        cycle=1, j=3158, A=5.3e153, tau=8.3e152, L=12.5, mu=1.0,
+        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
+        x0_cycle=np.array([1.0]), phi_xi=0.5,
+    )
+    with pytest.raises(RuntimeError, match=r"RPF-SFISTA: the step weight overflowed in cycle 1 "
+                       r"at j = 3158 \(A = 5.3e\+153, tau = 8.3e\+152, L = 12.5\)"):
+        backtracking_step(state, CountingOracle(_scalar_quadratic()), SfistaConfig())
+
+
 def test_momentum_update_worked_example():
     # 1-D hand-evaluated step: x_{j-1}=1, y_j=0.5, x_tilde=1, L=2, a=0.25,
     # mu=1, tau_{j-1}=1, A_{j-1}=0
