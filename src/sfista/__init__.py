@@ -18,16 +18,12 @@ from .prox_ops import (
     ConvexSet,
     L1Ball,
     Simplex,
-    project_l1_ball,
     project_simplex,
 )
 from .rpf_sfista import (
-    GammaSnapshot,
     SfistaConfig,
     SfistaOutput,
     SfistaTraceRow,
-    bootstrap_mu0,
-    eval_gamma,
     solve_sfista,
 )
 from .a_reg import ARegConfig, ARegOutput, build_subproblem, outer_residual, solve_areg
@@ -58,7 +54,6 @@ from .bench import (
     desk_suite,
     emit_table,
     parse_csv,
-    relative_residual,
     run_benchmark,
 )
 
@@ -68,15 +63,14 @@ __all__ = [
     "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction",
     "QuadraticFunction", "eval_phi",
     "ConvexSet", "Simplex", "L1Ball", "Box", "BoxHyperplane",
-    "project_simplex", "project_l1_ball",
-    "SfistaConfig", "SfistaOutput", "SfistaTraceRow", "GammaSnapshot",
-    "solve_sfista", "bootstrap_mu0", "eval_gamma",
+    "project_simplex",
+    "SfistaConfig", "SfistaOutput", "SfistaTraceRow", "solve_sfista",
     "ARegConfig", "ARegOutput", "build_subproblem", "outer_residual", "solve_areg",
     "BaselineConfig", "solve_fista_bt", "solve_fista_restart",
     "solve_rada_fista", "solve_greedy_fista", "gradient_restart_fires",
     "InstanceSpec", "gen_logistic", "gen_lasso", "gen_lasso_random",
     "gen_qp_simplex", "gen_qp_box", "make_instance",
     "load_matrix_market", "load_csv_matrix", "power_method_opnorm_sq",
-    "RunRecord", "relative_residual", "compute_atr", "run_benchmark",
+    "RunRecord", "compute_atr", "run_benchmark",
     "emit_table", "parse_csv", "atr_from_records", "desk_suite",
 ]

@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from .baselines import (
     BaselineConfig,
     solve_fista_bt,
@@ -26,14 +24,12 @@ from .baselines import (
     solve_greedy_fista,
     solve_rada_fista,
 )
-from .core import relative_denominator
 from .problems import InstanceSpec, make_instance
 from .rpf_sfista import SfistaConfig, solve_sfista
 
 __all__ = [
     "RunRecord",
     "METHODS",
-    "relative_residual",
     "compute_atr",
     "run_benchmark",
     "emit_table",
@@ -67,11 +63,6 @@ class RunRecord:
     runtime_s: float
     rel_residual: float
     seed: int
-
-
-def relative_residual(v: np.ndarray, grad_f_z0: np.ndarray) -> float:
-    """||v|| / (1 + ||grad f(z0)||)."""
-    return float(np.linalg.norm(v)) / relative_denominator(grad_f_z0)
 
 
 def compute_atr(

@@ -256,20 +256,16 @@ def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> 
     return z0
 
 
-def relative_denominator(grad_f_z0: np.ndarray) -> float:
-    """1 + ||grad f(z0)||, the scale of the relative residual test."""
-    return 1.0 + float(np.linalg.norm(grad_f_z0))
-
-
 def residual_denominator(mode: str, grad_f_z0: np.ndarray) -> float:
-    """Denominator of the residual test: relative_denominator in 'relative' mode, else 1.
+    """Denominator of the residual test: 1 + ||grad f(z0)|| in 'relative'
+    mode, else 1.
 
     The solvers pass the gradient at their first x_tilde, which is z0 (for
     RPF-SFISTA up to the rounding of (A y + a x) / (A + a) at A = 0), so
     grad f(z0) is evaluated once, counted and shape-checked like every other
     gradient.
     """
-    return relative_denominator(grad_f_z0) if mode == "relative" else 1.0
+    return 1.0 + float(np.linalg.norm(grad_f_z0)) if mode == "relative" else 1.0
 
 
 def line_search(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import CompositeProblem, QuadraticFunction, SmoothFunction
 from .prox_ops import BoxHyperplane, ConvexSet, L1Ball, Simplex
@@ -313,99 +312,30 @@ def power_method_opnorm_sq(
 
 
 def load_matrix_market(path: str):
-    """Parse a MatrixMarket file (coordinate or array, real, general or
-    symmetric) into a matrix.
+    """Read a MatrixMarket file (coordinate or array, real or integer,
+    general or symmetric) into a float matrix, with scipy's reader.
 
     Returns a scipy CSR matrix for coordinate files and a dense ndarray for
-    array files.  Raises ValueError with a line number on malformed input and
-    on header/entry-count mismatches.
+    array files.  Raises ValueError, prefixed with the path, on other fields
+    or symmetries and on malformed input; scipy's message names the line
+    where it has one.  Comments may only precede the size line.
     """
-    with open(path, "r") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ValueError(f"{path}:1: empty file")
-    banner = lines[0].split()
-    if len(banner) < 5 or banner[0] != "%%MatrixMarket" or banner[1].lower() != "matrix":
-        raise ValueError(f"{path}:1: not a MatrixMarket matrix banner")
-    fmt, field_kind, symmetry = (tok.lower() for tok in banner[2:5])
-    if fmt not in ("coordinate", "array"):
-        raise ValueError(f"{path}:1: unsupported format {fmt!r}")
-    if field_kind not in ("real", "integer"):
-        raise ValueError(f"{path}:1: unsupported field {field_kind!r}")
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"{path}:1: unsupported symmetry {symmetry!r}")
+    # imported here, not at module level: scipy.io loads scipy.sparse, which
+    # `import sfista` would otherwise pay for on every run that reads no file
+    import scipy.io
 
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    if idx >= len(lines):
-        raise ValueError(f"{path}:{idx + 1}: missing size line")
-    size_line = lines[idx].split()
-    lineno = idx + 1
-
-    if fmt == "coordinate":
-        if len(size_line) != 3:
-            raise ValueError(f"{path}:{lineno}: coordinate size line needs 3 fields")
-        nrows, ncols, nnz = (int(tok) for tok in size_line)
-        rows, cols, vals = [], [], []
-        count = 0
-        for off, raw in enumerate(lines[idx + 1:], start=lineno + 1):
-            txt = raw.strip()
-            if not txt or txt.startswith("%"):
-                continue
-            parts = txt.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{off}: expected 'row col value'")
-            try:
-                i, j, x = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{off}: {exc}") from None
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise ValueError(f"{path}:{off}: index ({i},{j}) outside {nrows}x{ncols}")
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(x)
-            count += 1
-        if count != nnz:
-            raise ValueError(f"{path}: header declares {nnz} entries, found {count}")
-        if symmetry == "symmetric":
-            extra = [(j, i, x) for i, j, x in zip(rows, cols, vals) if i != j]
-            rows += [e[0] for e in extra]
-            cols += [e[1] for e in extra]
-            vals += [e[2] for e in extra]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-
-    if len(size_line) != 2:
-        raise ValueError(f"{path}:{lineno}: array size line needs 2 fields")
-    nrows, ncols = (int(tok) for tok in size_line)
-    values = []
-    for off, raw in enumerate(lines[idx + 1:], start=lineno + 1):
-        txt = raw.strip()
-        if not txt or txt.startswith("%"):
-            continue
-        try:
-            values.append(float(txt.split()[0]))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{off}: {exc}") from None
-    if symmetry == "symmetric":
-        expected = nrows * (nrows + 1) // 2
-        if nrows != ncols or len(values) != expected:
-            raise ValueError(
-                f"{path}: symmetric array expects {expected} entries, found {len(values)}"
-            )
-        M = np.zeros((nrows, ncols))
-        k = 0
-        for j in range(ncols):
-            for i in range(j, nrows):
-                M[i, j] = values[k]
-                M[j, i] = values[k]
-                k += 1
-        return M
-    if len(values) != nrows * ncols:
-        raise ValueError(
-            f"{path}: header declares {nrows * ncols} entries, found {len(values)}"
-        )
-    return np.asarray(values).reshape((ncols, nrows)).T  # column-major
+    try:
+        field, symmetry = scipy.io.mminfo(path)[4:]
+        if field not in ("real", "integer"):
+            raise ValueError(f"unsupported field {field!r}")
+        if symmetry not in ("general", "symmetric"):
+            raise ValueError(f"unsupported symmetry {symmetry!r}")
+        M = scipy.io.mmread(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if isinstance(M, np.ndarray):
+        return np.asarray(M, dtype=float)
+    return M.tocsr().astype(float, copy=False)
 
 
 def load_csv_matrix(path: str) -> np.ndarray:

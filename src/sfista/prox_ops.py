@@ -19,7 +19,6 @@ __all__ = [
     "Box",
     "BoxHyperplane",
     "project_simplex",
-    "project_l1_ball",
 ]
 
 # contains(z) admits constraint violations of this order, scaled to each set
@@ -100,11 +99,6 @@ class L1Ball(ConvexSet):
 
     def contains(self, z: np.ndarray) -> bool:
         return bool(np.abs(np.asarray(z, dtype=float)).sum() <= self._limit)
-
-
-def project_l1_ball(v: np.ndarray, C: float) -> np.ndarray:
-    """Euclidean projection onto {z : ||z||_1 <= C}."""
-    return L1Ball(C).project(v)
 
 
 class Box(ConvexSet):

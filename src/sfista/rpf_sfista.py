@@ -36,9 +36,6 @@ __all__ = [
     "backtracking_step",
     "momentum_update",
     "restart_check",
-    "bootstrap_mu0",
-    "eval_gamma",
-    "GammaSnapshot",
 ]
 
 # Guard below which ||y - x_tilde|| is treated as zero (relative to iterate
@@ -122,6 +119,7 @@ class SfistaState:
     grad_x_tilde: Optional[np.ndarray] = None
     f_y: float = math.nan
     ell_y: float = math.nan
+    phi_y: float = math.nan
 
 
 @dataclass
@@ -136,11 +134,21 @@ class SfistaTraceRow:
     v_norm: float
     phi_xi: float
     restarted: bool
-    # vector snapshot for estimate-sequence diagnostics
+    # the estimate-sequence minorant gamma, from the solver's own f(y),
+    # ell_f(y; x_tilde) and h(y): gamma_y = phi(y) + 2 [ell_f(y; x_tilde) - f(y)]
     y: np.ndarray
-    x_tilde: np.ndarray
     s: np.ndarray
     mu: float
+    gamma_y: float
+
+    def gamma(self, x: np.ndarray) -> float:
+        """gamma(x) = gamma_y + <s, x - y> + (mu / 4) ||x - y||^2.
+
+        Lower-bounds phi everywhere whenever mu does not exceed the true
+        strong convexity modulus of phi.  Diagnostic only.
+        """
+        d = np.asarray(x, dtype=float) - self.y
+        return self.gamma_y + float(self.s @ d) + self.mu / 4.0 * float(d @ d)
 
 
 @dataclass
@@ -163,9 +171,9 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
 
     Multiplies L by beta until the local descent inequality
     ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y) holds, then
-    records (a, x_tilde, y, L) and the quantities needed downstream in the
-    state.  Every rejected L consumed one prox evaluation.  x_tilde and y
-    are returned lifted (CountingOracle.lift).  Raises RuntimeError when the
+    records a, x_tilde, L and the quantities needed downstream in the state
+    and returns y.  Every rejected L consumed one prox evaluation.  x_tilde
+    and y are lifted (CountingOracle.lift).  Raises RuntimeError when the
     step weight overflows, which a long enough cycle reaches through the
     growth of A and tau.
     """
@@ -188,13 +196,18 @@ def backtracking_step(state: SfistaState, oracle: CountingOracle, config: Sfista
 
     (state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y,
      state.ell_y) = line_search(oracle, trial_point, state.L, config.beta, config.chi)
-    return state.a, state.x_tilde, y, state.L
+    return y
 
 
 def _bootstrap_mu(
     f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, chi: float, fallback: float
 ) -> float:
-    """bootstrap_mu0 on values the caller holds, for d = y - x_tilde."""
+    """Data-driven initial strong-convexity estimate from the first prox step.
+
+    Returns 4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) ||d||^2) for
+    d = y - x_tilde.  When y is numerically indistinguishable from x_tilde,
+    or the curvature gap is zero (linear f), returns the fallback.
+    """
     nd2 = float(d @ d)
     gap = f_y - ell_y
     if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))) or gap <= 0.0:
@@ -202,32 +215,11 @@ def _bootstrap_mu(
     return 4.0 * gap / ((1.0 - chi) * nd2)
 
 
-def bootstrap_mu0(
-    y1: np.ndarray,
-    x0: np.ndarray,
-    problem: CompositeProblem,
-    chi: float = 0.001,
-    fallback: float = 10.0,
-) -> float:
-    """Data-driven initial strong-convexity estimate from the first prox step.
+def momentum_update(state: SfistaState, y_j: np.ndarray, oracle: CountingOracle) -> SfistaState:
+    """Step-3 updates: phi(y), best-point, A, tau, s, x, and the residual v.
 
-    Returns 4 [f(y1) - ell_f(y1; x0)] / ((1-chi) ||y1 - x0||^2).  When y1 is
-    numerically indistinguishable from x0, or the curvature gap is zero
-    (linear f), falls back to the given constant.
-    """
-    y1 = np.asarray(y1, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    d = y1 - x0
-    ell = float(problem.f_eval(x0)) + float(np.asarray(problem.f_grad(x0)) @ d)
-    return _bootstrap_mu(float(problem.f_eval(y1)), ell, d, x0, chi, fallback)
-
-
-def momentum_update(
-    state: SfistaState, y_j: np.ndarray, L_j: float, a_prev: float, oracle: CountingOracle
-) -> SfistaState:
-    """Step-3 updates: best-point, A, tau, s, x, and the residual vector v.
-
-    The best-point tie (phi(y_j) equal to the incumbent) keeps y_j.  y_j is
+    Reads the step weight a and L of the iteration from the state.  The
+    best-point tie (phi(y_j) equal to the incumbent) keeps y_j.  y_j is
     lifted, and x is updated as a lifted point.
 
     An image carried in x does not drift, so it needs no refresh.
@@ -241,16 +233,17 @@ def momentum_update(
     used.
     """
     pt = slice(state.dim)
-    phi_y = state.f_y + oracle.h(y_j[pt])
+    a = state.a
+    state.phi_y = phi_y = state.f_y + oracle.h(y_j[pt])
     if phi_y <= state.phi_xi:
         state.xi = y_j
         state.phi_xi = phi_y
         state.xi_moved = True
     tau_prev = state.tau
-    state.A = state.A + a_prev
-    state.tau = tau_prev + a_prev * state.mu / 2.0
-    S = L_j * (state.x_tilde - y_j)
-    state.x = (state.mu * a_prev * y_j / 2.0 + tau_prev * state.x - a_prev * S) / state.tau
+    state.A = state.A + a
+    state.tau = tau_prev + a * state.mu / 2.0
+    S = state.L * (state.x_tilde - y_j)
+    state.x = (state.mu * a * y_j / 2.0 + tau_prev * state.x - a * S) / state.tau
     state.s = S[pt]
     state.v = oracle.grad(y_j) - state.grad_x_tilde + state.s
     state.y = y_j
@@ -277,32 +270,6 @@ def restart_check(state: SfistaState, config: SfistaConfig) -> str:
     lhs = float(np.linalg.norm(state.xi[pt] - state.x0_cycle[pt])) ** 2
     rhs = config.chi * state.A * state.L * nd * nd
     return "continue" if lhs >= rhs else "restart"
-
-
-@dataclass
-class GammaSnapshot:
-    """Per-iteration quantities needed to evaluate the quadratic minorant."""
-
-    y: np.ndarray
-    x_tilde: np.ndarray
-    s: np.ndarray
-    mu: float
-
-
-def eval_gamma(snapshot: GammaSnapshot, problem: CompositeProblem, x: np.ndarray) -> float:
-    """Quadratic under-estimator of the composite objective at x.
-
-    gamma(x) = phi(y) + 2 [ell_f(y; x_tilde) - f(y)] + <s, x - y>
-               + (mu / 4) ||x - y||^2.
-    Lower-bounds phi everywhere whenever mu does not exceed the true strong
-    convexity modulus of phi.  Diagnostic only.
-    """
-    y, xt, s, mu = snapshot.y, snapshot.x_tilde, snapshot.s, snapshot.mu
-    f_y = float(problem.f_eval(y))
-    ell = float(problem.f_eval(xt)) + float(np.asarray(problem.f_grad(xt)) @ (y - xt))
-    phi_y = f_y + float(problem.h_eval(y))
-    d = np.asarray(x, dtype=float) - y
-    return phi_y + 2.0 * (ell - f_y) + float(s @ d) + mu / 4.0 * float(d @ d)
 
 
 def _clamp_m_lower(prev: float, floor: float) -> float:
@@ -354,7 +321,7 @@ def solve_sfista(
             break
         total_iters += 1
 
-        a, X_tilde, Y, L = backtracking_step(state, oracle, config)
+        Y = backtracking_step(state, oracle, config)
         if denom is None:
             # the first x_tilde is z0 (A = 0), up to rounding
             denom = residual_denominator(config.residual_mode, state.grad_x_tilde)
@@ -362,22 +329,21 @@ def solve_sfista(
         if mu is None:
             # a0 and y1 never depend on mu (A0 = 0), so the bootstrap value
             # can be installed right before the first tau/x update.
-            x_tilde = X_tilde[pt]
+            x_tilde = state.x_tilde[pt]
             mu = _bootstrap_mu(state.f_y, state.ell_y, Y[pt] - x_tilde, x_tilde,
                                config.chi, config.M_lower_init)
             state.mu = mu
 
         tau_prev = state.tau
-        momentum_update(state, Y, L, a, oracle)
+        momentum_update(state, Y, oracle)
 
         if trace is not None:
             trace.append(SfistaTraceRow(
                 cycle=state.cycle, j=state.j, L=state.L, A=state.A, tau=state.tau,
-                a=a, tau_prev=tau_prev,
+                a=state.a, tau_prev=tau_prev,
                 v_norm=float(np.linalg.norm(state.v)), phi_xi=state.phi_xi,
-                restarted=False,
-                y=Y[pt].copy(), x_tilde=X_tilde[pt].copy(), s=state.s.copy(),
-                mu=state.mu,
+                restarted=False, y=Y[pt].copy(), s=state.s.copy(), mu=state.mu,
+                gamma_y=state.phi_y + 2.0 * (state.ell_y - state.f_y),
             ))
 
         if restart_check(state, config) == "restart":

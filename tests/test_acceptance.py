@@ -28,8 +28,8 @@ from sfista.problems import (
     gen_qp_simplex,
     make_instance,
 )
-from sfista.prox_ops import Box, BoxHyperplane, project_l1_ball, project_simplex
-from sfista.rpf_sfista import GammaSnapshot, SfistaConfig, eval_gamma, solve_sfista
+from sfista.prox_ops import Box, BoxHyperplane, L1Ball, project_simplex
+from sfista.rpf_sfista import SfistaConfig, solve_sfista
 
 
 def _report(num, name, ok, detail):
@@ -130,11 +130,10 @@ def test_criterion_05_estimate_sequence_minorant():
               for _ in range(100)]
     worst = -np.inf
     for row in rows:
-        snap = GammaSnapshot(y=row.y, x_tilde=row.x_tilde, s=row.s, mu=row.mu)
         for x in points:
             phi_x = eval_phi(prob, x)
             scale = 1.0 + abs(phi_x)
-            worst = max(worst, (eval_gamma(snap, prob, x) - phi_x) / scale)
+            worst = max(worst, (row.gamma(x) - phi_x) / scale)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     _report(5, "quadratic minorant of the objective", ok,
@@ -157,7 +156,7 @@ def test_criterion_06_projection_oracle_equivalence():
             want = oracle_simplex(v)
         elif kind == 1:
             C = float(rng.uniform(0.5, 3.0))
-            got = project_l1_ball(v, C)
+            got = L1Ball(C).project(v)
             want = oracle_l1_ball(v, C)
         else:
             a = rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 2.0, size=n)

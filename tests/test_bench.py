@@ -14,30 +14,10 @@ from sfista.bench import (
     desk_suite,
     emit_table,
     parse_csv,
-    relative_residual,
     run_benchmark,
 )
 from sfista.cli import bench_main, read_config_file, solve_main
 from sfista.problems import InstanceSpec, gen_lasso, load_csv_matrix, make_instance
-
-
-# ---------------------------------------------------------------------------
-# relative residual
-
-
-def test_relative_residual_zero():
-    assert relative_residual(np.zeros(3), np.ones(3)) == 0.0
-
-
-def test_relative_residual_arithmetic():
-    v = np.array([2.0, 0.0])
-    g = np.array([1.0, 0.0])
-    assert relative_residual(v, g) == pytest.approx(1.0)
-
-
-def test_relative_residual_zero_gradient():
-    v = np.array([3.0, 4.0])
-    assert relative_residual(v, np.zeros(2)) == pytest.approx(5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +338,17 @@ def test_cli_solve_on_mtx(tmp_path, capsys):
                      "--method", "fista-bt"])
     assert rc == 0
     assert "relative residual" in capsys.readouterr().out
+
+
+def test_cli_solve_on_matrix_market(tmp_path, capsys):
+    # the default method (rpf-sfista) on a sparse 4x3 coordinate file
+    path = tmp_path / "A.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% a 4x3 matrix with five entries\n"
+        "4 3 5\n1 1 2.0\n2 2 -1.5\n3 3 1.0\n4 1 0.5\n4 3 3.0\n"
+    )
+    rc = solve_main(["--problem", str(path), "--c", "1.0", "--eps", "1e-8"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status: converged" in out

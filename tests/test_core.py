@@ -21,6 +21,7 @@ from sfista.core import (
     OracleCounters,
     eval_phi,
     grad_fd_check,
+    residual_denominator,
 )
 from sfista.rpf_sfista import SfistaConfig, solve_sfista
 
@@ -107,6 +108,14 @@ def test_grad_fd_check_rejects_bad_step():
     prob = _quadratic_problem(2)
     with pytest.raises(ValueError):
         grad_fd_check(prob, np.zeros(2), 0.0)
+
+
+def test_residual_denominator():
+    # relative: ||v|| / (1 + ||grad f(z0)||), so ||(2, 0)|| / 2 = 1
+    assert residual_denominator("relative", np.array([1.0, 0.0])) == 2.0
+    assert residual_denominator("relative", np.array([3.0, 4.0])) == 6.0
+    assert residual_denominator("relative", np.zeros(2)) == 1.0
+    assert residual_denominator("absolute", np.array([3.0, 4.0])) == 1.0
 
 
 def _nan_after(k, problem, field_name, counts):

@@ -18,7 +18,6 @@ from sfista.prox_ops import (
     BoxHyperplane,
     L1Ball,
     Simplex,
-    project_l1_ball,
     project_simplex,
 )
 
@@ -113,7 +112,7 @@ def test_l1_ball_matches_oracle():
         n = int(rng.integers(1, 7))
         v = rng.uniform(-3, 3, size=n)
         C = float(rng.uniform(0.2, 4.0))
-        np.testing.assert_allclose(project_l1_ball(v, C), oracle_l1_ball(v, C), atol=1e-8)
+        np.testing.assert_allclose(L1Ball(C).project(v), oracle_l1_ball(v, C), atol=1e-8)
 
 
 def test_box_hyperplane_matches_oracle():
@@ -154,15 +153,15 @@ def test_simplex_output_feasible():
 
 def test_l1_interior_point_unchanged():
     v = np.array([0.1, -0.2, 0.3])
-    np.testing.assert_array_equal(project_l1_ball(v, 1.0), v)
+    np.testing.assert_array_equal(L1Ball(1.0).project(v), v)
 
 
 def test_l1_ball_known_value():
     # projection of (2, 0) onto the unit l1 ball is (1, 0)
-    np.testing.assert_allclose(project_l1_ball(np.array([2.0, 0.0]), 1.0), [1.0, 0.0])
+    np.testing.assert_allclose(L1Ball(1.0).project(np.array([2.0, 0.0])), [1.0, 0.0])
     # symmetric overshoot splits the shrinkage
     np.testing.assert_allclose(
-        project_l1_ball(np.array([1.0, 1.0]), 1.0), [0.5, 0.5]
+        L1Ball(1.0).project(np.array([1.0, 1.0])), [0.5, 0.5]
     )
 
 
@@ -199,7 +198,7 @@ def test_empty_vector_raises():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("project", [
     project_simplex,
-    lambda v: project_l1_ball(v, 1.0),
+    L1Ball(1.0).project,
     lambda v: BoxHyperplane(np.ones(3), 0.0, 1.0).project(v),
 ], ids=["simplex", "l1_ball", "box_hyperplane"])
 def test_nonfinite_input_raises(project, bad):
@@ -210,12 +209,12 @@ def test_nonfinite_input_raises(project, bad):
 def test_huge_finite_input_projects():
     # u_1 - (u_1 - 1) rounds to 0 at k = 1 for 1e20
     np.testing.assert_array_equal(project_simplex(np.array([1e20, 0.0, 0.0])), [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(project_l1_ball(np.array([1e20, 0.0, 0.0]), 1.0), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(L1Ball(1.0).project(np.array([1e20, 0.0, 0.0])), [1.0, 0.0, 0.0])
 
 
 def test_bad_radius_raises():
     with pytest.raises(ValueError):
-        project_l1_ball(np.ones(3), 0.0)
+        L1Ball(0.0).project(np.ones(3))
     with pytest.raises(ValueError):
         project_simplex(np.ones(3), radius=-1.0)
 
@@ -247,9 +246,9 @@ def test_simplex_nonexpansive(u_vals, v_vals):
 @given(_vec, st.floats(0.1, 5.0))
 def test_l1_idempotent_and_feasible(vals, C):
     v = np.asarray(vals)
-    p = project_l1_ball(v, C)
+    p = L1Ball(C).project(v)
     assert np.abs(p).sum() <= C * (1 + 1e-10)
-    np.testing.assert_allclose(project_l1_ball(p, C), p, atol=1e-10)
+    np.testing.assert_allclose(L1Ball(C).project(p), p, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)

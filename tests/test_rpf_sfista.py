@@ -5,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from sfista.core import CompositeProblem, CountingOracle
+from sfista.core import CompositeProblem, CountingOracle, eval_phi
 from sfista.problems import gen_lasso_random, gen_qp_simplex
 from sfista.rpf_sfista import (
-    GammaSnapshot,
     SfistaConfig,
     SfistaState,
     backtracking_step,
-    bootstrap_mu0,
-    eval_gamma,
     momentum_update,
     restart_check,
     solve_sfista,
@@ -72,10 +69,10 @@ def test_a_formula_at_cycle_start():
         x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
         x0_cycle=np.array([1.0]), phi_xi=0.5,
     )
-    a, x_tilde, y, L = backtracking_step(state, oracle, SfistaConfig())
-    assert a == pytest.approx(0.25)
-    assert L == pytest.approx(4.0)  # curvature 1, L=4 passes at first try
-    np.testing.assert_allclose(x_tilde, [1.0])
+    backtracking_step(state, oracle, SfistaConfig())
+    assert state.a == pytest.approx(0.25)
+    assert state.L == pytest.approx(4.0)  # curvature 1, L=4 passes at first try
+    np.testing.assert_allclose(state.x_tilde, [1.0])
 
 
 def test_backtracking_increases_L_when_needed():
@@ -89,7 +86,8 @@ def test_backtracking_increases_L_when_needed():
         x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
         x0_cycle=np.array([1.0]), phi_xi=50.0,
     )
-    a, x_tilde, y, L = backtracking_step(state, oracle, cfg)
+    backtracking_step(state, oracle, cfg)
+    L = state.L
     assert L > 1.0
     assert L <= cfg.kappa * 100.0 * cfg.beta
     # the prior beta step must have failed: L/beta violates the inequality
@@ -157,8 +155,9 @@ def test_momentum_update_worked_example():
     )
     state.x_tilde = np.array([1.0])
     state.grad_x_tilde = np.array([1.0])
+    state.a = 0.25
     state.f_y = 0.125
-    momentum_update(state, np.array([0.5]), 2.0, 0.25, oracle)
+    momentum_update(state, np.array([0.5]), oracle)
     assert state.tau == pytest.approx(1.125)
     np.testing.assert_allclose(state.s, [1.0])  # L (x_tilde - y) = 2 * 0.5
     # x_j = (mu a y / 2 + tau x - a s) / tau_j = (0.0625 + 1 - 0.25) / 1.125
@@ -178,8 +177,9 @@ def test_momentum_mu_zero_keeps_tau():
     )
     state.x_tilde = np.array([1.0])
     state.grad_x_tilde = np.array([1.0])
+    state.a = 0.25
     state.f_y = 0.125
-    momentum_update(state, np.array([0.5]), 2.0, 0.25, oracle)
+    momentum_update(state, np.array([0.5]), oracle)
     assert state.tau == pytest.approx(1.0)
 
 
@@ -193,8 +193,9 @@ def test_momentum_fixed_point_gives_zero_residual():
     )
     state.x_tilde = np.array([0.0])
     state.grad_x_tilde = np.array([0.0])
+    state.a = 0.5
     state.f_y = 0.0
-    momentum_update(state, np.array([0.0]), 2.0, 0.5, oracle)
+    momentum_update(state, np.array([0.0]), oracle)
     np.testing.assert_array_equal(state.s, [0.0])
     np.testing.assert_array_equal(state.v, [0.0])
 
@@ -239,31 +240,34 @@ def test_restart_chi_scales_threshold():
 
 
 # ---------------------------------------------------------------------------
-# bootstrap
+# bootstrap: the mu the solver installs after its first prox step
+
+
+def _bootstrapped_mu(prob, z0, **kw):
+    cfg = SfistaConfig(max_total_iters=1, trace=True, **kw)
+    return solve_sfista(prob, cfg, np.array(z0)).trace[0].mu
 
 
 def test_bootstrap_quadratic():
-    prob = _scalar_quadratic(c=1.0)
-    mu = bootstrap_mu0(np.array([0.5]), np.array([1.0]), prob, chi=0.001)
+    # in 1-D, f(y) - ell_f(y; x) = c (y - x)^2 / 2 whatever the step
+    mu = _bootstrapped_mu(_scalar_quadratic(c=1.0), [1.0], chi=0.001)
     assert mu == pytest.approx(2.0 / 0.999)
 
 
 def test_bootstrap_scales_with_curvature():
     c = 7.5
-    prob = _scalar_quadratic(c=c)
-    mu = bootstrap_mu0(np.array([0.5]), np.array([1.0]), prob, chi=0.001)
+    mu = _bootstrapped_mu(_scalar_quadratic(c=c), [1.0], chi=0.001)
     assert mu == pytest.approx(2.0 * c / 0.999)
 
 
 def test_bootstrap_linear_f_falls_back():
     prob = _free_problem(lambda z: float(z[0]), lambda z: np.ones(1), dim=1)
-    mu = bootstrap_mu0(np.array([0.0]), np.array([1.0]), prob, fallback=10.0)
+    mu = _bootstrapped_mu(prob, [1.0], M_lower_init=10.0)
     assert mu == 10.0
 
 
 def test_bootstrap_stationary_start_falls_back():
-    prob = _scalar_quadratic()
-    mu = bootstrap_mu0(np.array([1.0]), np.array([1.0]), prob, fallback=3.0)
+    mu = _bootstrapped_mu(_scalar_quadratic(), [0.0], M_lower_init=3.0)
     assert mu == 3.0
 
 
@@ -318,8 +322,6 @@ def test_cycle_bound_with_fixed_mu0():
 
 
 def test_output_contract_phi_xi_best():
-    from sfista.core import eval_phi
-
     prob, z0 = gen_lasso_random(40, 80, 2.0, seed=3)
     out = solve_sfista(
         prob, SfistaConfig(eps_hat=1e-10, residual_mode="relative"), z0
@@ -381,7 +383,7 @@ def test_invariant_v_bound():
     prob, out = _traced_lasso()
     L_bar = prob.known_L
     for row in out.trace:
-        step = float(np.linalg.norm(row.y - row.x_tilde))
+        step = float(np.linalg.norm(row.s)) / row.L  # s = L (x_tilde - y)
         assert row.v_norm <= (L_bar + row.L) * step + 1e-9
 
 
@@ -389,20 +391,17 @@ def test_invariant_v_bound():
 # estimate sequence
 
 
-def test_eval_gamma_at_y_below_phi():
-    prob = _scalar_quadratic()
-    snap = GammaSnapshot(y=np.array([0.5]), x_tilde=np.array([1.0]),
-                         s=np.array([1.0]), mu=1.0)
-    phi_y = 0.125
-    assert eval_gamma(snap, prob, np.array([0.5])) <= phi_y + 1e-12
-
-
-def test_eval_gamma_constant_when_flat():
-    prob = _free_problem(lambda z: 0.0, lambda z: np.zeros(2), dim=2)
-    snap = GammaSnapshot(y=np.zeros(2), x_tilde=np.zeros(2),
-                         s=np.zeros(2), mu=0.0)
-    vals = {eval_gamma(snap, prob, np.array([x, -x])) for x in (0.0, 1.0, 5.0)}
-    assert max(vals) - min(vals) < 1e-12
+def test_trace_gamma_at_y_below_phi():
+    # gamma(y) = phi(y) + 2 [ell_f(y; x_tilde) - f(y)] <= phi(y) by convexity
+    # of f, and gamma - gamma(y) is <s, x - y> + (mu / 4) ||x - y||^2
+    prob, out = _traced_lasso()
+    for row in out.trace:
+        assert row.gamma(row.y) == row.gamma_y
+        phi_y = eval_phi(prob, row.y)
+        assert row.gamma_y <= phi_y + 1e-12 * (1.0 + abs(phi_y))
+        x = row.y + 1.0
+        want = row.gamma_y + float(row.s.sum()) + row.mu / 4.0 * prob.dim
+        assert row.gamma(x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_gamma_minorant_when_mu_below_modulus():
@@ -412,14 +411,12 @@ def test_gamma_minorant_when_mu_below_modulus():
                        mu0=prob.known_mu_f / 2.0, trace=True)
     out = solve_sfista(prob, cfg, z0)
     rng = np.random.default_rng(1)
-    from sfista.core import eval_phi
     from sfista.prox_ops import project_simplex
 
     rows = out.trace[::5][:20]
     for row in rows:
-        snap = GammaSnapshot(y=row.y, x_tilde=row.x_tilde, s=row.s, mu=row.mu)
         for _ in range(10):
             x = project_simplex(rng.uniform(0, 1, size=prob.dim))
             phi_x = eval_phi(prob, x)
             scale = 1.0 + abs(phi_x)
-            assert eval_gamma(snap, prob, x) <= phi_x + 1e-8 * scale
+            assert row.gamma(x) <= phi_x + 1e-8 * scale
