@@ -8,9 +8,9 @@ where ../parent is a checkout of the commit to compare with.
 
 Each line names the instance, method and eps, then the status, the iteration
 and cycle counts, the three oracle counters and a SHA-256 (16 hex digits) of
-the output's bytes: y, v, xi, L_final and the residual (for A-REG: w, r and
-those of every inner output).  The runs cover every `bench.METHODS` entry and A-REG on the
-four `desk_suite` families at seed 42.  `--eps 1e-8,1e-13` adds the
+the output's bytes: y, v, xi (y where it is None), L_final and the residual
+(for A-REG: w, r and those of every inner output).  The runs cover every
+`bench.METHODS` entry and A-REG on the four `desk_suite` families at seed 42.  `--eps 1e-8,1e-13` adds the
 high-accuracy runs, which take about 20 minutes on one core (fista-bt needs
 up to 920,000 iterations on the box QPs).  The hashes depend on the BLAS
 build, so compare two runs on one machine only; OPENBLAS_NUM_THREADS=1 keeps
@@ -32,7 +32,9 @@ FAMILIES = ("logistic", "lasso", "qp_simplex", "qp_box")
 
 
 def _update(h, out) -> None:
-    for a in (out.y, out.v, out.xi):
+    # y stands in for xi where a method has none (the comparison methods), so
+    # digests stay comparable with those of commits that set xi = y there
+    for a in (out.y, out.v, out.y if out.xi is None else out.xi):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(struct.pack("<dd", out.L_final, out.residual))
 

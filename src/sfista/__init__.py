@@ -10,6 +10,7 @@ from .core import (
     OracleCounters,
     QuadraticFunction,
     SmoothFunction,
+    SolveOutput,
     eval_phi,
 )
 from .prox_ops import (
@@ -22,7 +23,6 @@ from .prox_ops import (
 )
 from .rpf_sfista import (
     SfistaConfig,
-    SfistaOutput,
     SfistaTraceRow,
     solve_sfista,
 )
@@ -61,10 +61,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction",
-    "QuadraticFunction", "eval_phi",
+    "QuadraticFunction", "SolveOutput", "eval_phi",
     "ConvexSet", "Simplex", "L1Ball", "Box", "BoxHyperplane",
     "project_simplex",
-    "SfistaConfig", "SfistaOutput", "SfistaTraceRow", "solve_sfista",
+    "SfistaConfig", "SfistaTraceRow", "solve_sfista",
     "ARegConfig", "ARegOutput", "build_subproblem", "outer_residual", "solve_areg",
     "BaselineConfig", "solve_fista_bt", "solve_fista_restart",
     "solve_rada_fista", "solve_greedy_fista", "gradient_restart_fires",

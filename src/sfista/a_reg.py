@@ -20,10 +20,11 @@ from .core import (
     CompositeProblem,
     OracleCounters,
     SmoothFunction,
+    SolveOutput,
     check_start,
     smooth_of,
 )
-from .rpf_sfista import SfistaConfig, SfistaOutput, _clamp_m_lower, solve_sfista
+from .rpf_sfista import SfistaConfig, _clamp_m_lower, solve_sfista
 
 # first L of the first subproblem, and its floor in every later one
 _N0 = 10.0
@@ -64,12 +65,10 @@ class ARegConfig:
 
 @dataclass
 class ARegTraceRow:
-    k: int
+    """delta and ||r|| of outer iteration k, whose inner solve is inner_outputs[k - 1]."""
+
     delta: float
-    u_norm: float
     r_norm: float
-    inner_cycles: int
-    inner_iters: int
 
 
 @dataclass
@@ -79,7 +78,7 @@ class ARegOutput:
     outer_iters: int
     counters: OracleCounters
     status: str  # 'converged' | 'iter_cap' | 'time_cap'
-    inner_outputs: List[SfistaOutput]
+    inner_outputs: List[SolveOutput]
     trace: List[ARegTraceRow]
     runtime_s: float = 0.0
 
@@ -137,7 +136,7 @@ def solve_areg(
 
     start = time.monotonic()
     counters = OracleCounters()
-    inner_outputs: List[SfistaOutput] = []
+    inner_outputs: List[SolveOutput] = []
     trace: List[ARegTraceRow] = []
 
     delta = config.delta0
@@ -147,13 +146,13 @@ def solve_areg(
     w = theta0
     r = np.full(problem.dim, math.inf)
 
-    for k in range(1, _MAX_OUTER_ITERS + 1):
+    for _ in range(_MAX_OUTER_ITERS):
         elapsed = time.monotonic() - start
         if elapsed > config.time_limit:
             status = "time_cap"
             break
 
-        # N_bar_prev = N0 at k = 1, where the clamp returns exactly N0
+        # N_bar_prev = N0 in the first outer iteration, where the clamp returns exactly N0
         N_lower = _clamp_m_lower(N_bar_prev, _N0)
         sub = build_subproblem(problem, delta, theta)
         inner_cfg = SfistaConfig(
@@ -167,19 +166,15 @@ def solve_areg(
         inner_outputs.append(out)
         counters.merge(out.counters)
 
-        w, u = out.y, out.v
-        r = outer_residual(u, delta, theta, w)
+        w = out.y
+        r = outer_residual(out.v, delta, theta, w)
         theta = out.xi
-        trace.append(ARegTraceRow(
-            k=k, delta=delta, u_norm=float(np.linalg.norm(u)),
-            r_norm=float(np.linalg.norm(r)),
-            inner_cycles=out.cycles, inner_iters=out.total_iters,
-        ))
+        trace.append(ARegTraceRow(delta=delta, r_norm=float(np.linalg.norm(r))))
 
         if out.status != "converged":
             status = out.status
             break
-        if float(np.linalg.norm(r)) <= config.eps:
+        if trace[-1].r_norm <= config.eps:
             status = "converged"
             break
 

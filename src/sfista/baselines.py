@@ -18,12 +18,12 @@ import numpy as np
 from .core import (
     CompositeProblem,
     CountingOracle,
+    SolveOutput,
     check_start,
     line_search,
     nan_message,
     residual_denominator,
 )
-from .rpf_sfista import SfistaOutput
 
 __all__ = [
     "BaselineConfig",
@@ -79,7 +79,7 @@ _RULES = {
 }
 
 
-def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
+def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:
     step, restart, momentum = _RULES[method]
     z0 = check_start(problem, z0)
     start = time.monotonic()
@@ -150,32 +150,32 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
             t = t_next
         Y_prev = Y
 
-    y = Y[pt].copy()  # holds no lifted point's image alive
-    return SfistaOutput(
-        y=y, v=v, xi=y, L_final=L, cycles=restarts + 1, total_iters=j,
+    # y is a copy, so that it holds no lifted point's image alive
+    return SolveOutput(
+        y=Y[pt].copy(), v=v, L_final=L, cycles=restarts + 1, total_iters=j,
         counters=oracle.counters, status=status, residual=residual,
         runtime_s=time.monotonic() - start,
     )
 
 
-def solve_fista_bt(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
+def solve_fista_bt(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:
     """FISTA with a doubling backtracking line search for L."""
     return _run("fista-bt", problem, config, z0)
 
 
-def solve_fista_restart(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
+def solve_fista_restart(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:
     """FISTA-BT plus a function-value restart: reset momentum when the
     objective at the new iterate worsens."""
     return _run("fista-r", problem, config, z0)
 
 
-def solve_rada_fista(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
+def solve_rada_fista(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:
     """Fixed-step FISTA with the (p, q, r) momentum sequence and gradient
     restarts; stepsize 1/L."""
     return _run("rada", problem, config, z0)
 
 
-def solve_greedy_fista(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SfistaOutput:
+def solve_greedy_fista(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:
     """Fixed-step FISTA with unit momentum, stepsize 1.3/L and gradient
     restarts."""
     return _run("greedy", problem, config, z0)

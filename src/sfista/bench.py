@@ -13,9 +13,8 @@ import concurrent.futures
 import csv
 import io
 import math
-import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, get_type_hints
 
 from .baselines import (
     BaselineConfig,
@@ -40,15 +39,10 @@ __all__ = [
 
 _MIN_TICK = 1e-9  # one timer tick: floor for recorded runtimes
 
-CSV_COLUMNS = [
-    "instance_id", "family", "m", "n", "param", "method", "status",
-    "iters", "prox_evals", "grad_evals", "runtime_s", "rel_residual", "seed",
-]
-
 
 @dataclass
 class RunRecord:
-    """One benchmark row: one method on one instance."""
+    """One benchmark row: one method on one instance; its fields are the csv columns."""
 
     instance_id: str
     family: str
@@ -56,13 +50,17 @@ class RunRecord:
     n: int
     param: str
     method: str
-    status: str  # 'converged' | 'iter_cap' | 'time_cap' | 'error'
+    status: str  # 'converged' | 'iter_cap' | 'time_cap' | 'error:<ExceptionName>'
     iters: int
     prox_evals: int
     grad_evals: int
     runtime_s: float
     rel_residual: float
     seed: int
+
+
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
+_CSV_TYPES = [get_type_hints(RunRecord)[name] for name in CSV_COLUMNS]  # int, float or str
 
 
 def compute_atr(
@@ -114,24 +112,19 @@ METHODS: Dict[str, Callable] = {
 
 
 def _run_one(spec: InstanceSpec, method: str, eps_hat: float, time_limit: float) -> RunRecord:
+    run = dict(instance_id=spec.instance_id, family=spec.family, m=spec.m, n=spec.n,
+               param=spec.param, method=method, seed=spec.seed)
     try:
         problem, z0 = make_instance(spec)
         out = METHODS[method](problem, z0, eps_hat, time_limit)
-        return RunRecord(
-            instance_id=spec.instance_id, family=spec.family, m=spec.m, n=spec.n,
-            param=spec.param, method=method, status=out.status,
-            iters=out.total_iters, prox_evals=out.counters.prox_evals,
-            grad_evals=out.counters.grad_evals,
-            runtime_s=max(out.runtime_s, _MIN_TICK),
-            rel_residual=out.residual, seed=spec.seed,
-        )
     except Exception as exc:  # per-row capture: one bad run must not kill the suite
-        return RunRecord(
-            instance_id=spec.instance_id, family=spec.family, m=spec.m, n=spec.n,
-            param=spec.param, method=method, status=f"error:{type(exc).__name__}",
-            iters=0, prox_evals=0, grad_evals=0, runtime_s=0.0,
-            rel_residual=math.inf, seed=spec.seed,
-        )
+        return RunRecord(**run, status=f"error:{type(exc).__name__}", iters=0,
+                         prox_evals=0, grad_evals=0, runtime_s=0.0, rel_residual=math.inf)
+    return RunRecord(
+        **run, status=out.status, iters=out.total_iters,
+        prox_evals=out.counters.prox_evals, grad_evals=out.counters.grad_evals,
+        runtime_s=max(out.runtime_s, _MIN_TICK), rel_residual=out.residual,
+    )
 
 
 def run_benchmark(
@@ -169,7 +162,7 @@ def run_benchmark(
 
 
 def emit_table(records: Sequence[RunRecord], format: str = "csv") -> str:
-    """Render records as csv (13 fixed columns) or a grouped markdown table.
+    """Render records as csv (RunRecord's fields) or a grouped markdown table.
 
     Markdown groups rows per instance, bolds the best iteration count and
     runtime within each group (ties: all bolded), and renders non-converged
@@ -182,28 +175,18 @@ def emit_table(records: Sequence[RunRecord], format: str = "csv") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow([
-                rec.instance_id, rec.family, rec.m, rec.n, rec.param,
-                rec.method, rec.status, rec.iters, rec.prox_evals,
-                rec.grad_evals, repr(rec.runtime_s), repr(rec.rel_residual),
-                rec.seed,
-            ])
+            writer.writerow([getattr(rec, name) for name in CSV_COLUMNS])
         return buf.getvalue()
     if format != "markdown":
         raise ValueError(f"unknown format {format!r}")
 
-    groups: Dict[str, List[RunRecord]] = {}
-    order: List[str] = []
+    groups: Dict[str, List[RunRecord]] = {}  # in order of first appearance
     for rec in records:
-        if rec.instance_id not in groups:
-            groups[rec.instance_id] = []
-            order.append(rec.instance_id)
-        groups[rec.instance_id].append(rec)
+        groups.setdefault(rec.instance_id, []).append(rec)
 
     lines = ["| instance | method | iters | runtime (s) |",
              "| --- | --- | --- | --- |"]
-    for iid in order:
-        rows = groups[iid]
+    for iid, rows in groups.items():
         converged = [r for r in rows if r.status == "converged"]
         best_iters = min((r.iters for r in converged), default=None)
         best_time = min((r.runtime_s for r in converged), default=None)
@@ -234,13 +217,7 @@ def parse_csv(text: str) -> List[RunRecord]:
             continue
         if len(row) != len(CSV_COLUMNS):
             raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        records.append(RunRecord(
-            instance_id=row[0], family=row[1], m=int(row[2]), n=int(row[3]),
-            param=row[4], method=row[5], status=row[6], iters=int(row[7]),
-            prox_evals=int(row[8]), grad_evals=int(row[9]),
-            runtime_s=float(row[10]), rel_residual=float(row[11]),
-            seed=int(row[12]),
-        ))
+        records.append(RunRecord(*(parse(cell) for parse, cell in zip(_CSV_TYPES, row))))
     return records
 
 

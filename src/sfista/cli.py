@@ -5,9 +5,14 @@ table; `bench atr` summarizes an existing csv as an average time ratio;
 `solve` runs one method on a matrix loaded from disk (lasso form).  Both
 commands run the methods of `bench.METHODS`, with the same settings.
 
-A config file is plain `key = value` text whose keys match the long flag
-names (dashes or underscores).  Values from the config file act as defaults;
-flags given explicitly on the command line win.
+`--config FILE` reads plain `key = value` lines whose keys are long flag
+names (dashes or underscores) and parses each as the flag `--key=value`,
+placed ahead of the command line's own flags (after `run` or `atr` for
+`bench`).  argparse checks file values exactly as it checks flags: types,
+choices, required flags and unknown keys, so a key that only the other
+`bench` command takes is an error.  Flags given on the command line come
+later and win.  A bad flag, config value, input file or library argument
+exits with status 2 and one `error:` line.
 """
 
 from __future__ import annotations
@@ -28,17 +33,10 @@ from .bench import (
 )
 from .problems import gen_lasso, load_csv_matrix, load_matrix_market
 
-_FAMILY_ALIASES = {
-    "logistic": "logistic",
-    "lasso": "lasso",
-    "qp-simplex": "qp_simplex",
-    "qp-box": "qp_box",
-}
-
 
 def read_config_file(path: str) -> Dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment; keys are normalized
-    to underscores."""
+    to dashes, as in the long flag names."""
     values: Dict[str, str] = {}
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -48,41 +46,25 @@ def read_config_file(path: str) -> Dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            values[key.strip().replace("_", "-")] = val.strip()
     return values
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]:
-    """If --config appears in argv, load it and install its values as parser
-    defaults so explicit flags still override.
-
-    Defaults are applied to the top-level parser and to every subparser,
-    since subcommand flags live on their own parsers.
-    """
-    cfg_path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
+def _expand_config(argv: List[str], at: int) -> List[str]:
+    """argv with a `--key=value` token per line of its --config file
+    inserted at index `at`, ahead of the flags that follow, which win."""
+    path = None
+    for tok, following in zip(argv, argv[1:] + [None]):
+        if tok == "--config":
+            path = following
         elif tok.startswith("--config="):
-            cfg_path = tok.split("=", 1)[1]
-    if cfg_path is None:
+            path = tok.partition("=")[2]
+    if path is None:
         return argv
-    values = read_config_file(cfg_path)
-
-    parsers = [parser]
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            parsers.extend(action.choices.values())
-    known = {a.dest for p in parsers for a in p._actions}
-    unknown = set(values) - known
-    if unknown:
-        raise SystemExit(f"config file {cfg_path}: unknown keys {sorted(unknown)}")
-    for p in parsers:
-        local = {a.dest for a in p._actions}
-        fit = {k: v for k, v in values.items() if k in local}
-        if fit:
-            p.set_defaults(**fit)
-    return argv
+    values = read_config_file(path)
+    if "config" in values:
+        raise ValueError(f"{path}: a config file cannot name another config file")
+    return argv[:at] + [f"--{key}={val}" for key, val in values.items()] + argv[at:]
 
 
 def _build_bench_parser():
@@ -90,7 +72,8 @@ def _build_bench_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run a method x instance grid")
-    run_p.add_argument("--family", required=True, choices=sorted(_FAMILY_ALIASES))
+    run_p.add_argument("--family", required=True,
+                       choices=["lasso", "logistic", "qp-box", "qp-simplex"])
     run_p.add_argument("--methods", default=",".join(sorted(METHODS)),
                        help="comma-separated method names")
     run_p.add_argument("--eps", type=float, default=1e-8)
@@ -105,26 +88,28 @@ def _build_bench_parser():
     atr_p.add_argument("--baseline", default=None,
                        help="compare against this method (default: best other)")
     atr_p.add_argument("--subject", default="rpf-sfista")
-    atr_p.add_argument("--in", dest="in_path", required=True)
+    atr_p.add_argument("--in", dest="in_path", required=True, help="results csv")
     atr_p.add_argument("--time-limit", type=float, default=7200.0)
     atr_p.add_argument("--config", default=None, help="key=value config file")
     return parser
 
 
 def bench_main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_bench_parser()
-    argv = _apply_config_defaults(parser, argv)
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        # the command comes first: the top-level parser has no flags of its own
+        return _bench(parser.parse_args(_expand_config(argv, 1)))
+    except (OSError, ValueError) as exc:  # a bad input file or argument value
+        parser.error(str(exc))
 
+
+def _bench(args: argparse.Namespace) -> int:
     if args.command == "run":
-        family = _FAMILY_ALIASES[args.family]
-        suite = desk_suite(family, seed=int(args.seed))
-        methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
-        records = run_benchmark(
-            suite, methods, eps_hat=float(args.eps), time_limit=float(args.time_limit),
-            out_path=args.out, workers=int(args.workers),
-        )
+        suite = desk_suite(args.family.replace("-", "_"), seed=args.seed)
+        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+        records = run_benchmark(suite, methods, eps_hat=args.eps, time_limit=args.time_limit,
+                                out_path=args.out, workers=args.workers)
         if args.format == "markdown":
             print(emit_table(records, "markdown"))
         print(f"wrote {len(records)} records to {args.out}")
@@ -132,10 +117,8 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
 
     with open(args.in_path, "r") as fh:
         records = parse_csv(fh.read())
-    atr = atr_from_records(
-        records, subject=args.subject,
-        time_limit=float(args.time_limit), baseline=args.baseline,
-    )
+    atr = atr_from_records(records, subject=args.subject, time_limit=args.time_limit,
+                           baseline=args.baseline)
     against = args.baseline or "best other method"
     print(f"ATR of {args.subject} vs {against}: {atr:.4g}")
     return 0
@@ -146,10 +129,19 @@ def _load_problem_matrix(path: str):
         return load_matrix_market(path)
     if path.endswith(".csv"):
         return load_csv_matrix(path)
-    raise SystemExit(f"unsupported problem file {path!r} (expected .mtx or .csv)")
+    raise ValueError(f"unsupported problem file {path!r} (expected .mtx or .csv)")
 
 
 def solve_main(argv: Optional[List[str]] = None) -> int:
+    parser = _build_solve_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _solve(parser.parse_args(_expand_config(argv, 0)))
+    except (OSError, ValueError) as exc:  # a bad input file or argument value
+        parser.error(str(exc))
+
+
+def _build_solve_parser():
     parser = argparse.ArgumentParser(
         prog="solve", description="Solve one l1-constrained least-squares problem"
     )
@@ -161,21 +153,20 @@ def solve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--rhs", default=None, help="optional right-hand side csv")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", default=None, help="key=value config file")
+    return parser
 
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config_defaults(parser, argv)
-    args = parser.parse_args(argv)
 
+def _solve(args: argparse.Namespace) -> int:
     A = _load_problem_matrix(args.problem)
     if args.rhs is not None:
         b = np.asarray(load_csv_matrix(args.rhs)).ravel()
     else:
-        rng = np.random.default_rng(int(args.seed))
+        rng = np.random.default_rng(args.seed)
         b = rng.standard_normal(A.shape[0])
 
-    problem, z0 = gen_lasso(A, b, float(args.c), seed=int(args.seed))
+    problem, z0 = gen_lasso(A, b, args.c, seed=args.seed)
 
-    out = METHODS[args.method](problem, z0, float(args.eps), float(args.time_limit))
+    out = METHODS[args.method](problem, z0, args.eps, args.time_limit)
 
     print(f"status: {out.status}")
     print(f"iterations: {out.total_iters}")

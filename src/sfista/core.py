@@ -19,6 +19,7 @@ __all__ = [
     "QuadraticFunction",
     "CompositeProblem",
     "OracleCounters",
+    "SolveOutput",
     "CountingOracle",
     "smooth_of",
     "eval_phi",
@@ -124,6 +125,29 @@ class OracleCounters:
         self.grad_evals += other.grad_evals
         self.f_evals += other.f_evals
         self.prox_evals += other.prox_evals
+
+
+@dataclass
+class SolveOutput:
+    """What rpf-sfista and each comparison method return.
+
+    y is the last iterate, v in grad f(y) + dh(y) its certificate, and
+    residual is ||v|| over the residual test's denominator.  cycles counts
+    momentum restarts + 1.  xi (the best-value iterate) and trace (a list of
+    `rpf_sfista.SfistaTraceRow`) are filled by rpf-sfista only.
+    """
+
+    y: np.ndarray
+    v: np.ndarray
+    L_final: float
+    cycles: int
+    total_iters: int
+    counters: OracleCounters
+    status: str  # 'converged' | 'iter_cap' | 'time_cap'
+    residual: float
+    runtime_s: float = 0.0
+    xi: Optional[np.ndarray] = None
+    trace: Optional[list] = None
 
 
 def smooth_of(problem: CompositeProblem) -> SmoothFunction:

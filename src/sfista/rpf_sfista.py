@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     CompositeProblem,
     CountingOracle,
-    OracleCounters,
+    SolveOutput,
     check_start,
     line_search,
     nan_message,
@@ -30,7 +30,6 @@ from .core import (
 __all__ = [
     "SfistaConfig",
     "SfistaState",
-    "SfistaOutput",
     "SfistaTraceRow",
     "solve_sfista",
     "backtracking_step",
@@ -149,21 +148,6 @@ class SfistaTraceRow:
         """
         d = np.asarray(x, dtype=float) - self.y
         return self.gamma_y + float(self.s @ d) + self.mu / 4.0 * float(d @ d)
-
-
-@dataclass
-class SfistaOutput:
-    y: np.ndarray
-    v: np.ndarray
-    xi: np.ndarray
-    L_final: float
-    cycles: int
-    total_iters: int
-    counters: OracleCounters
-    status: str  # 'converged' | 'iter_cap' | 'time_cap'
-    residual: float
-    trace: Optional[List[SfistaTraceRow]] = None
-    runtime_s: float = 0.0
 
 
 def backtracking_step(state: SfistaState, oracle: CountingOracle, config: SfistaConfig):
@@ -294,7 +278,7 @@ def _cycle_start(
 
 def solve_sfista(
     problem: CompositeProblem, config: SfistaConfig, z0: np.ndarray
-) -> SfistaOutput:
+) -> SolveOutput:
     """Run RPF-SFISTA from z0 until the residual test, or a cap, is met."""
     z0 = check_start(problem, z0)
 
@@ -373,7 +357,7 @@ def solve_sfista(
     residual = float(np.linalg.norm(state.v)) / denom if state.v is not None else math.inf
     # copies, so that an output holds no lifted point's image alive
     y = state.y[pt].copy()
-    return SfistaOutput(
+    return SolveOutput(
         y=y, v=state.v if state.v is not None else np.zeros(problem.dim),
         xi=y if state.xi is state.y else state.xi[pt].copy(), L_final=state.L,
         cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,

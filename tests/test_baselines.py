@@ -54,6 +54,14 @@ def test_stationary_start_stops_at_one(solver):
     assert out.total_iters == 1
 
 
+@pytest.mark.parametrize("solver", [solve_fista_bt, solve_fista_restart,
+                                    solve_rada_fista, solve_greedy_fista])
+def test_no_best_iterate_or_trace(solver):
+    # xi and trace are rpf-sfista's; the comparison methods leave them unset
+    out = solver(_scalar_quadratic(), BaselineConfig(eps_hat=1e-10), np.array([1.0]))
+    assert out.xi is None and out.trace is None
+
+
 def test_bt_doubling_caps_L():
     # L stabilizes at most one doubling above what the inequality needs
     prob = _scalar_quadratic(c=100.0)

@@ -295,6 +295,85 @@ def test_cli_config_unknown_key(tmp_path):
         bench_main(["run", "--family", "lasso", "--config", str(cfg)])
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Every METHODS entry replaced by one that records its call."""
+    calls = []
+    for name in list(METHODS):
+        monkeypatch.setitem(METHODS, name, lambda *args: calls.append(args))
+    return calls
+
+
+def _usage_error(capsys, main, argv):
+    """The stderr of main(argv), which must exit with argparse's status 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_cli_config_supplies_required_flags(tmp_path, capsys):
+    # --family of `bench run`, --in of `bench atr` and --problem of `solve`
+    # are required, and each may come from the file alone
+    results = tmp_path / "r.csv"
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(f"family = lasso\nmethods = rpf-sfista,greedy\neps = 1e-4\n"
+                       f"out = {results}\n")
+    assert bench_main(["run", "--config", str(run_cfg)]) == 0
+    assert len(parse_csv(results.read_text())) == 8
+    atr_cfg = tmp_path / "atr.cfg"
+    atr_cfg.write_text(f"in = {results}\nbaseline = greedy\n")
+    assert bench_main(["atr", "--config", str(atr_cfg)]) == 0
+    matrix = tmp_path / "A.csv"
+    np.savetxt(matrix, np.random.default_rng(0).standard_normal((10, 6)), delimiter=",")
+    solve_cfg = tmp_path / "solve.cfg"
+    solve_cfg.write_text(f"problem = {matrix}\nc = 2.0\neps = 1e-6\n")
+    assert solve_main(["--config", str(solve_cfg)]) == 0
+    printed = capsys.readouterr().out
+    assert "ATR of rpf-sfista vs greedy" in printed
+    assert "status: converged" in printed
+
+
+@pytest.mark.parametrize("main,argv,text,error", [
+    (bench_main, ["run"], "family = lasso\nformat = html\n",
+     "argument --format: invalid choice: 'html'"),
+    (solve_main, [], "problem = A.csv\nmethod = nope\n",
+     "argument --method: invalid choice: 'nope'"),
+])
+def test_cli_config_values_checked_like_flags(tmp_path, monkeypatch, capsys, solves,
+                                              main, argv, text, error):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("A.csv", np.eye(3), delimiter=",")
+    (tmp_path / "x.cfg").write_text(text)
+    assert error in _usage_error(capsys, main, [*argv, "--config", "x.cfg"])
+    assert solves == [] and not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["run", "--family", "lasso"], "subject = greedy"),  # a key of `bench atr`
+    (["atr", "--in", "r.csv"], "workers = 2"),  # a key of `bench run`
+    (["atr", "--in", "r.csv"], "in_path = r.csv"),  # the dest, not the flag
+])
+def test_cli_config_rejects_the_other_commands_keys(tmp_path, monkeypatch, capsys, solves,
+                                                    argv, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cfg").write_text(key + "\n")
+    err = _usage_error(capsys, bench_main, [*argv, "--config", "x.cfg"])
+    assert "unrecognized arguments: --" + key.split(" =")[0].replace("_", "-") in err
+    assert solves == []
+
+
+def test_cli_library_errors_exit_as_usage_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = _usage_error(capsys, bench_main, ["run", "--family", "lasso", "--methods", "nope"])
+    assert "error: unknown methods: ['nope']" in err
+    assert "Traceback" not in err
+    # a results file without a single run of the subject method
+    (tmp_path / "r.csv").write_text(emit_table([_record(method="greedy")], "csv"))
+    err = _usage_error(capsys, bench_main, ["atr", "--in", "r.csv"])
+    assert "error: ATR needs at least one paired run" in err
+
+
 def test_read_config_file_parse_error(tmp_path):
     cfg = tmp_path / "b.cfg"
     cfg.write_text("no equals sign here\n")

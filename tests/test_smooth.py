@@ -194,7 +194,10 @@ def test_replaced_oracles_fall_back_with_identical_iterates(family, method):
         fused, unfused = (METHODS[method](p, z0, 1e-8, 7200.0) for p in (problem, plain))
         assert _counts(fused) == _counts(unfused)
         assert _close(fused.y, unfused.y) and _close(fused.v, unfused.v)
-        assert _close(fused.xi, unfused.xi)
+        # only rpf-sfista sets xi, the best-value iterate
+        assert (fused.xi is None) == (unfused.xi is None) == (method != "rpf-sfista")
+        if fused.xi is not None:
+            assert _close(fused.xi, unfused.xi)
     assert fused.status == "converged"
 
 
