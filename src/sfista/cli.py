@@ -11,13 +11,15 @@ placed ahead of the command line's own flags (after `run` or `atr` for
 `bench`).  argparse checks file values exactly as it checks flags: types,
 choices, required flags and unknown keys, so a key that only the other
 `bench` command takes is an error.  Flags given on the command line come
-later and win.  A bad flag, config value, input file or library argument
-exits with status 2 and one `error:` line.
+later and win.  Flags are never abbreviated: argparse would take `--conf`
+for `--config`, but its file would not be read.  A bad flag, config value,
+input file or library argument exits with status 2 and one `error:` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Dict, List, Optional
 
@@ -34,13 +36,17 @@ from .bench import (
 from .problems import gen_lasso, load_csv_matrix, load_matrix_market
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_file(path: str) -> Dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment; keys are normalized
-    to dashes, as in the long flag names."""
+    """Parse `key = value` lines; a '#' at the start of a line or after
+    whitespace starts a comment, so values may contain '#'; keys are
+    normalized to dashes, as in the long flag names."""
     values: Dict[str, str] = {}
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -68,10 +74,11 @@ def _expand_config(argv: List[str], at: int) -> List[str]:
 
 
 def _build_bench_parser():
-    parser = argparse.ArgumentParser(prog="bench", description="Benchmark harness")
+    parser = argparse.ArgumentParser(prog="bench", description="Benchmark harness",
+                                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a method x instance grid")
+    run_p = sub.add_parser("run", help="run a method x instance grid", allow_abbrev=False)
     run_p.add_argument("--family", required=True,
                        choices=["lasso", "logistic", "qp-box", "qp-simplex"])
     run_p.add_argument("--methods", default=",".join(sorted(METHODS)),
@@ -84,7 +91,8 @@ def _build_bench_parser():
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--config", default=None, help="key=value config file")
 
-    atr_p = sub.add_parser("atr", help="summarize a results csv as an ATR")
+    atr_p = sub.add_parser("atr", help="summarize a results csv as an ATR",
+                           allow_abbrev=False)
     atr_p.add_argument("--baseline", default=None,
                        help="compare against this method (default: best other)")
     atr_p.add_argument("--subject", default="rpf-sfista")
@@ -143,7 +151,8 @@ def solve_main(argv: Optional[List[str]] = None) -> int:
 
 def _build_solve_parser():
     parser = argparse.ArgumentParser(
-        prog="solve", description="Solve one l1-constrained least-squares problem"
+        prog="solve", description="Solve one l1-constrained least-squares problem",
+        allow_abbrev=False,
     )
     parser.add_argument("--problem", required=True, help="matrix file (.mtx or .csv)")
     parser.add_argument("--c", type=float, default=1.0, help="l1-ball radius")

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .prox_ops import ConvexSet
+
 __all__ = [
     "SmoothFunction",
     "QuadraticFunction",
@@ -182,12 +184,21 @@ class CountingOracle:
     For the identity image (plain-callable or replaced oracles) f and grad
     are the problem's own oracles, called at z itself.  f and grad count one
     evaluation each, whether the image was computed, reused or carried.
+
+    prox calls the problem's h_prox, or, when h_prox is the bound `prox` of
+    a ConvexSet, that set's `warm_prox()`: one per solve, so a projection
+    warm-started from the previous one keeps its state here, not in the set.
     """
 
     def __init__(self, problem: CompositeProblem, counters: OracleCounters | None = None):
         self.problem = problem
         self.counters = counters if counters is not None else OracleCounters()
         self._shape = (problem.dim,)
+        h_prox = problem.h_prox
+        owner = getattr(h_prox, "__self__", None)
+        if isinstance(owner, ConvexSet) and h_prox == owner.prox:
+            h_prox = owner.warm_prox()
+        self._h_prox = h_prox
         smooth = smooth_of(problem)
         image, value, grad, n = smooth.image, smooth.value, smooth.grad, problem.dim
         # lift(z) is the lifted point of z, and P[pt] the point of P
@@ -231,7 +242,7 @@ class CountingOracle:
 
     def prox(self, p: np.ndarray, lam: float) -> np.ndarray:
         self.counters.prox_evals += 1
-        return self._vector("prox", self.problem.h_prox(p, lam))
+        return self._vector("prox", self._h_prox(p, lam))
 
     def _vector(self, name: str, out) -> np.ndarray:
         out = np.asarray(out, dtype=float)

@@ -6,6 +6,13 @@ step size.  Each constraint set is one object: `Simplex()`, `L1Ball(radius)`,
 parameters once and stores the constants every projection reuses, and its
 bound methods `prox` and `indicator` are a CompositeProblem's h_prox and
 h_eval.  The objects hold no per-solve state, so threads can share one.
+
+`ConvexSet.warm_prox()` is a prox for one solve.  For `BoxHyperplane` it keeps
+the last projection's multiplier in a closure and starts the next projection
+there, since a solver's consecutive prox inputs differ by one step; the
+breakpoint search serves the first call and the fallback.  `core.CountingOracle`
+calls warm_prox once per solve, so the sets stay shareable.  Every other set's
+warm_prox is its prox.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ __all__ = [
 
 # contains(z) admits constraint violations of this order, scaled to each set
 _FEAS_TOL = 1e-9
+# Newton passes a warm-started box-hyperplane projection makes before it falls
+# back to the breakpoint search; a solver's warm starts settle in one or two
+_WARM_PASSES = 5
 
 
 def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -64,6 +74,10 @@ class ConvexSet:
         if not lam > 0:
             raise ValueError("prox step must be positive")
         return self.project(p)
+
+    def warm_prox(self):
+        """A prox for one solve; state kept between its calls lives in it."""
+        return self.prox
 
     def indicator(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else float("inf")
@@ -133,6 +147,14 @@ class BoxHyperplane(ConvexSet):
     lam = (a_F'v_F + a_C'z_C - b) / ||a_F||^2.  The result is exact up to
     roundoff; there is no tolerance.  Coordinates with a_i = 0 are
     clip(v_i, -r, r).
+
+    Started from a multiplier (warm_prox passes the last projection's), the
+    solve repeats a Newton pass instead: F and z_C at lam, then lam from the
+    same closed form, until the clip pattern repeats and lam is the root
+    (Cominetti, Mascarenhas and Silva, 2014).  An empty F, or _WARM_PASSES
+    passes, falls back to the breakpoint search, so no bracket is kept.  A
+    root inside a segment gets the closed form of the same F either way, so
+    both solves give the same bytes.
     """
 
     def __init__(self, a, b: float, r: float):
@@ -160,6 +182,23 @@ class BoxHyperplane(ConvexSet):
         self._eq_tol = _FEAS_TOL * (1.0 + abs(b) + np.linalg.norm(a) * r)
 
     def project(self, v: np.ndarray) -> np.ndarray:
+        return self._solve(v, None)[0]
+
+    def warm_prox(self):
+        last = [None]  # the multiplier of the previous projection
+
+        def prox(p: np.ndarray, lam: float) -> np.ndarray:
+            if not lam > 0:
+                raise ValueError("prox step must be positive")
+            z, last[0] = self._solve(p, last[0])
+            return z
+
+        return prox
+
+    def _solve(self, v: np.ndarray, lam):
+        """(projection of v, its multiplier).  Newton passes start from the
+        multiplier lam unless it is None; the breakpoint search serves
+        otherwise and when they fail."""
         v = np.asarray(v, dtype=float)
         if not np.isfinite(v).all():
             raise ValueError("cannot project a vector with NaN or infinite entries")
@@ -167,6 +206,31 @@ class BoxHyperplane(ConvexSet):
         # coordinate i is free for lam in [enter_i, leave_i], at +r sign(a_i)
         # before and at -r sign(a_i) after
         enter, leave = (vn - self._edge) / an, (vn + self._edge) / an
+        if lam is not None:
+            lam = self._newton(vn, enter, leave, lam)
+        if lam is None:
+            lam = self._breakpoint(vn, enter, leave)
+        # np.clip without its Python-level wrapper; v and lam are finite
+        return np.minimum(np.maximum(v - lam * self.a, -self.r), self.r), lam
+
+    def _newton(self, vn: np.ndarray, enter: np.ndarray, leave: np.ndarray, lam: float):
+        """The multiplier by Newton passes from lam, or None when the free
+        set is empty or _WARM_PASSES passes leave the clip pattern moving."""
+        upper = enter >= lam
+        free = ~upper & (leave > lam)
+        for _ in range(_WARM_PASSES):
+            if not np.count_nonzero(free):
+                return None
+            lam = self._multiplier(vn, free, upper)
+            upper_next = enter >= lam
+            free_next = ~upper_next & (leave > lam)
+            if not np.count_nonzero((free ^ free_next) | (upper ^ upper_next)):
+                return lam
+            upper, free = upper_next, free_next
+        return None
+
+    def _breakpoint(self, vn: np.ndarray, enter: np.ndarray, leave: np.ndarray) -> float:
+        """The multiplier by the breakpoint search, from no starting point."""
         kinks = np.concatenate((enter, leave))
         order = np.argsort(kinks, kind="stable")
         kinks = kinks[order]
@@ -177,13 +241,18 @@ class BoxHyperplane(ConvexSet):
         g[-1] = -self._reach - self.b  # every coordinate is at its lower clip
         j = int(np.argmax(g <= 0.0))
         if j == 0:  # b = r||a||_1: the set is one point, reached at the first kink
-            lam = kinks[0]
-        else:
-            free = (enter <= kinks[j - 1]) & (leave >= kinks[j])
-            # a_i z_i of a clipped coordinate: r|a_i| before its kinks, -r|a_i| after
-            clipped = np.where(enter >= kinks[j], self._r_abs_a, -self._r_abs_a)
-            lam = (an[free] @ vn[free] + clipped[~free].sum() - self.b) / self._a2[free].sum()
-        return np.clip(v - lam * self.a, -self.r, self.r)
+            return kinks[0]
+        free = (enter <= kinks[j - 1]) & (leave >= kinks[j])
+        return self._multiplier(vn, free, enter >= kinks[j])
+
+    def _multiplier(self, vn: np.ndarray, free: np.ndarray, upper: np.ndarray) -> float:
+        """lam at which a'z = b when the coordinates in `free` are free and the
+        others clipped, at +r sign(a_i) where `upper` holds."""
+        # a_i z_i of a clipped coordinate: r|a_i| before its kinks, -r|a_i| after
+        clipped = np.where(upper, self._r_abs_a, -self._r_abs_a)
+        # np.add.reduce is ndarray.sum without its Python-level wrapper
+        return ((self._an[free] @ vn[free] + np.add.reduce(clipped[~free]) - self.b)
+                / np.add.reduce(self._a2[free]))
 
     def contains(self, z: np.ndarray) -> bool:
         z = np.asarray(z, dtype=float)

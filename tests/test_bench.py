@@ -1,6 +1,8 @@
 """Benchmark harness: ATR arithmetic, table emission, round trips, CLI."""
 
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sfista.bench import (
 )
 from sfista.cli import bench_main, read_config_file, solve_main
 from sfista.problems import InstanceSpec, gen_lasso, load_csv_matrix, make_instance
+from sfista.prox_ops import BoxHyperplane
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,50 @@ def test_run_benchmark_workers_preserve_order():
     par = run_benchmark(suite, ["rpf-sfista", "fista-bt"], 1e-6, 60.0, workers=4)
     assert [(r.instance_id, r.method, r.iters) for r in seq] == \
            [(r.instance_id, r.method, r.iters) for r in par]
+
+
+def test_run_benchmark_workers_agree_on_box_qp():
+    suite = [InstanceSpec("qp_box", 8, 16, s, mu_target=1e-2) for s in (1, 2)]
+    methods = ["rpf-sfista", "fista-r", "greedy"]
+    seq = run_benchmark(suite, methods, 1e-8, 60.0, workers=1)
+    par = run_benchmark(suite, methods, 1e-8, 60.0, workers=4)
+    assert all(r.status == "converged" for r in seq)
+    assert [(r.iters, r.prox_evals, r.rel_residual) for r in seq] == \
+           [(r.iters, r.prox_evals, r.rel_residual) for r in par]
+
+
+def test_threads_share_one_box_hyperplane(monkeypatch):
+    """Solves running in four threads at once on one problem, so on one
+    BoxHyperplane, with a short switch interval to interleave their
+    projections, return what each returns alone.  Each starts cold, with one
+    breakpoint search: the multiplier a warm start reuses belongs to the
+    solve, not to the shared set."""
+    problem, z0 = make_instance(InstanceSpec("qp_box", 8, 16, 1, mu_target=1e-2))
+    methods = ["rpf-sfista", "fista-r", "fista-bt", "greedy"] * 2
+    searches = []
+    breakpoint = BoxHyperplane._breakpoint
+
+    def counted_breakpoint(self, *args):
+        searches.append(None)
+        return breakpoint(self, *args)
+
+    monkeypatch.setattr(BoxHyperplane, "_breakpoint", counted_breakpoint)
+
+    def solve(method):
+        out = METHODS[method](problem, z0, 1e-8, 60.0)
+        return out.status, out.total_iters, out.counters.prox_evals, out.y.tobytes()
+
+    alone = [solve(m) for m in methods]
+    assert len(searches) == len(methods)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            shared = list(pool.map(solve, methods, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared == alone
+    assert len(searches) == 2 * len(methods)
 
 
 def test_run_benchmark_deterministic_iterates():
@@ -372,6 +419,25 @@ def test_cli_library_errors_exit_as_usage_errors(tmp_path, monkeypatch, capsys):
     (tmp_path / "r.csv").write_text(emit_table([_record(method="greedy")], "csv"))
     err = _usage_error(capsys, bench_main, ["atr", "--in", "r.csv"])
     assert "error: ATR needs at least one paired run" in err
+
+
+@pytest.mark.parametrize("main,argv", [
+    (solve_main, ["--problem", "A.csv"]),
+    (bench_main, ["run", "--family", "lasso"]),
+])
+def test_cli_flags_are_not_abbreviated(tmp_path, monkeypatch, capsys, solves, main, argv):
+    # a prefix of --config would parse, but its file would go unread
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("A.csv", np.eye(3), delimiter=",")
+    (tmp_path / "f.cfg").write_text("method = nope\n")
+    assert "unrecognized arguments: --conf" in _usage_error(capsys, main, [*argv, "--conf", "f.cfg"])
+    assert solves == []
+
+
+def test_read_config_file_hash_inside_a_value(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# a comment line\nproblem = d#1/A.csv  # the matrix\nc=2.0\t# radius\n")
+    assert read_config_file(str(cfg)) == {"problem": "d#1/A.csv", "c": "2.0"}
 
 
 def test_read_config_file_parse_error(tmp_path):

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sfista.bench import METHODS
+from sfista.problems import gen_qp_box
 from sfista.prox_ops import (
     Box,
     BoxHyperplane,
@@ -195,12 +197,19 @@ def test_empty_vector_raises():
         project_simplex(np.array([]))
 
 
+def _warm_box_hyperplane_prox():
+    prox = BoxHyperplane(np.ones(3), 0.0, 1.0).warm_prox()
+    prox(np.array([0.5, 1.0, 2.0]), 1.0)  # later calls start from its multiplier
+    return lambda v: prox(v, 1.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("project", [
     project_simplex,
     L1Ball(1.0).project,
     lambda v: BoxHyperplane(np.ones(3), 0.0, 1.0).project(v),
-], ids=["simplex", "l1_ball", "box_hyperplane"])
+    _warm_box_hyperplane_prox(),
+], ids=["simplex", "l1_ball", "box_hyperplane", "box_hyperplane_warm"])
 def test_nonfinite_input_raises(project, bad):
     with pytest.raises(ValueError, match="NaN or infinite"):
         project(np.array([bad, 1.0, 2.0]))
@@ -306,18 +315,60 @@ def _box_hyperplane_case(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_box_hyperplane_case())
-def test_box_hyperplane_exact_on_edge_cases(case):
+@given(_box_hyperplane_case(), st.data())
+def test_box_hyperplane_exact_on_edge_cases(case, data):
+    """The cold solve, and warm starts from the multiplier of another input
+    (v moved by up to its own size plus r per coordinate) and from an
+    arbitrary finite multiplier, all meet the same bounds."""
     v, a, b, r, kind = case
-    z = BoxHyperplane(a, b, r).project(v)
+    C = BoxHyperplane(a, b, r)
     vmax = np.abs(v).max()
-    assert np.all(np.abs(z) <= r)
-    assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
-    if kind == "feasible":
-        np.testing.assert_allclose(z, v, rtol=0, atol=1e-14 * (1 + np.abs(a).sum() * r))
-    if v.size <= 6:  # the oracle is exact, so this bounds the solve's roundoff
-        np.testing.assert_allclose(z, oracle_box_hyperplane(v, a, b, r), rtol=0,
-                                   atol=1e-14 * (1 + vmax))
+    move = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=v.size, max_size=v.size)))
+    hints = [None, C._solve(v + move * (vmax + r), None)[1],
+             data.draw(st.floats(allow_nan=False, allow_infinity=False))]
+    want = oracle_box_hyperplane(v, a, b, r) if v.size <= 6 else None
+    for hint in hints:
+        z = C._solve(v, hint)[0]
+        assert np.all(np.abs(z) <= r)
+        assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
+        if kind == "feasible":
+            np.testing.assert_allclose(z, v, rtol=0, atol=1e-14 * (1 + np.abs(a).sum() * r))
+        if want is not None:  # the oracle is exact, so this bounds the solve's roundoff
+            np.testing.assert_allclose(z, want, rtol=0, atol=1e-14 * (1 + vmax))
+
+
+def test_warm_started_prox_matches_cold_bytes(monkeypatch):
+    """Every prox output of an rpf-sfista solve on a small box QP equals the
+    cold projection byte for byte, and the breakpoint search runs once per
+    solve, at its first projection; later ones start from the last
+    multiplier."""
+    problem, z0 = gen_qp_box(8, 16, "last1", 5.0, 0.0, 1e-2, 1e2, 3)
+    C = problem.h_prox.__self__
+    outputs, searches = [], []
+    warm_prox, breakpoint = BoxHyperplane.warm_prox, BoxHyperplane._breakpoint
+
+    def recording_warm_prox(self):
+        prox = warm_prox(self)
+
+        def recorded(p, lam):
+            outputs.append((p, prox(p, lam)))
+            return outputs[-1][1]
+
+        return recorded
+
+    def counted_breakpoint(self, *args):
+        searches.append(len(outputs))
+        return breakpoint(self, *args)
+
+    monkeypatch.setattr(BoxHyperplane, "warm_prox", recording_warm_prox)
+    monkeypatch.setattr(BoxHyperplane, "_breakpoint", counted_breakpoint)
+    out = METHODS["rpf-sfista"](problem, z0, 1e-8, 60.0)
+    assert out.status == "converged"
+    assert len(outputs) == out.counters.prox_evals > 1000
+    assert searches == [0]
+    monkeypatch.undo()
+    for p, z in outputs:
+        assert z.tobytes() == C.project(p).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +417,10 @@ def test_projection_is_in_the_set(case):
 @given(_set_and_point(), st.floats(1e-12, 1e12), st.floats(max_value=0.0) | st.just(np.nan))
 def test_prox_is_projection_for_positive_lam(case, lam, bad_lam):
     C, v = case
-    assert C.prox(v, lam).tobytes() == C.project(v).tobytes()
-    with pytest.raises(ValueError, match="prox step must be positive"):
-        C.prox(v, bad_lam)
+    for prox in (C.prox, C.warm_prox()):
+        assert prox(v, lam).tobytes() == C.project(v).tobytes()
+        with pytest.raises(ValueError, match="prox step must be positive"):
+            prox(v, bad_lam)
 
 
 def test_spec_box():
