@@ -45,7 +45,7 @@ from .problems import (
     load_csv_matrix,
     load_matrix_market,
     make_instance,
-    power_method_opnorm_sq,
+    opnorm_sq,
 )
 from .bench import (
     RunRecord,
@@ -70,7 +70,7 @@ __all__ = [
     "solve_rada_fista", "solve_greedy_fista", "gradient_restart_fires",
     "InstanceSpec", "gen_logistic", "gen_lasso", "gen_lasso_random",
     "gen_qp_simplex", "gen_qp_box", "make_instance",
-    "load_matrix_market", "load_csv_matrix", "power_method_opnorm_sq",
+    "load_matrix_market", "load_csv_matrix", "opnorm_sq",
     "RunRecord", "compute_atr", "run_benchmark",
     "emit_table", "parse_csv", "atr_from_records", "desk_suite",
 ]

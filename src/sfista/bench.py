@@ -111,11 +111,22 @@ METHODS: Dict[str, Callable] = {
 }
 
 
-def _run_one(spec: InstanceSpec, method: str, eps_hat: float, time_limit: float) -> RunRecord:
+def _build(spec: InstanceSpec) -> concurrent.futures.Future:
+    """make_instance(spec), done now: a finished future of the instance or its error."""
+    instance = concurrent.futures.Future()
+    try:
+        instance.set_result(make_instance(spec))
+    except Exception as exc:
+        instance.set_exception(exc)
+    return instance
+
+
+def _run_one(spec: InstanceSpec, instance: concurrent.futures.Future, method: str,
+             eps_hat: float, time_limit: float) -> RunRecord:
     run = dict(instance_id=spec.instance_id, family=spec.family, m=spec.m, n=spec.n,
                param=spec.param, method=method, seed=spec.seed)
     try:
-        problem, z0 = make_instance(spec)
+        problem, z0 = instance.result()  # a failed build fails each of its rows
         out = METHODS[method](problem, z0, eps_hat, time_limit)
     except Exception as exc:  # per-row capture: one bad run must not kill the suite
         return RunRecord(**run, status=f"error:{type(exc).__name__}", iters=0,
@@ -137,8 +148,10 @@ def run_benchmark(
 ) -> List[RunRecord]:
     """Run every method on every instance; optionally write the csv table.
 
-    Instances may run across worker threads, but records come back in suite
-    order so the output is deterministic regardless of scheduling.
+    Each instance is built once and its methods share it: a solve keeps its
+    per-solve state (the warm prox) to itself.  Instances may run across
+    worker threads, but records come back in suite order so the output is
+    deterministic regardless of scheduling.
     """
     if len(suite) == 0:
         raise ValueError("suite must be nonempty")
@@ -146,13 +159,21 @@ def run_benchmark(
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
 
-    jobs = [(spec, method) for spec in suite for method in methods]
     if workers <= 1:
-        records = [_run_one(spec, method, eps_hat, time_limit) for spec, method in jobs]
+        records = []
+        for spec in suite:
+            instance = _build(spec)
+            records += [_run_one(spec, instance, method, eps_hat, time_limit)
+                        for method in methods]
     else:
+        # the queue is first in, first out, so a build starts before any of
+        # its method jobs and a job that waits on it cannot hold it up
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, spec, method, eps_hat, time_limit)
-                       for spec, method in jobs]
+            futures = []
+            for spec in suite:
+                instance = pool.submit(make_instance, spec)
+                futures += [pool.submit(_run_one, spec, instance, method, eps_hat, time_limit)
+                            for method in methods]
             records = [f.result() for f in futures]
 
     if out_path is not None:

@@ -17,6 +17,8 @@ warm_prox is its prox.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -47,16 +49,22 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     if radius <= 0:
         raise ValueError("simplex radius must be positive")
     u = np.sort(v)[::-1]
+    # NaN sorts last, so first after the reversal, and an infinity sorts to
+    # an end: two tests find either before the sums would warn on them
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        raise ValueError("cannot project a vector with NaN or infinite entries")
     css = np.cumsum(u) - radius
     ks = np.arange(1, v.size + 1)
     positive = np.flatnonzero(u - css / ks > 0)
     if positive.size == 0:
-        # k = 1 always qualifies unless v is non-finite or so large that
-        # u_1 - (u_1 - radius) rounds to 0; shifting v by a constant does not
-        # move the projection and makes k = 1 qualify
-        if not np.isfinite(v).all():
-            raise ValueError("cannot project a vector with NaN or infinite entries")
-        return project_simplex(v - v.max(), radius)
+        # k = 1 always qualifies unless v is so large that u_1 - (u_1 -
+        # radius) rounds to 0; shifting v by a constant does not move the
+        # projection and makes k = 1 qualify.  Entries below -radius after
+        # the shift project to 0, so the floor moves nothing and keeps an
+        # entry the shift overflows to -inf finite
+        with np.errstate(over="ignore"):
+            shifted = np.maximum(v - v.max(), -2.0 * radius)
+        return project_simplex(shifted, radius)
     rho = int(positive[-1])
     theta = css[rho] / (rho + 1)
     return np.maximum(v - theta, 0.0)

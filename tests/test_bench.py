@@ -159,6 +159,36 @@ def test_run_benchmark_error_captured_per_row():
     assert records[0].status.startswith("error:")
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_benchmark_builds_each_instance_once(monkeypatch, workers):
+    """One make_instance call per spec, shared by its methods, gives the
+    records of one build per row; a spec whose build fails errors every row."""
+    bad = InstanceSpec("qp_simplex", 10, 10, 0, alpha=1000.0,
+                       mu_target=50.0, L_target=1e2)  # calibration infeasible
+    suite = [InstanceSpec("lasso", 20, 40, 1, C=2.0), bad,
+             InstanceSpec("qp_box", 8, 16, 1, mu_target=1e-2)]
+    methods = ["rpf-sfista", "fista-r", "greedy"]
+
+    def solved(records):
+        return [(r.instance_id, r.method, r.status, r.iters, r.prox_evals, r.grad_evals,
+                 r.rel_residual) for r in records]
+
+    # one build per row, the way each (instance, method) pair runs alone
+    per_row = [rec for spec in suite for method in methods
+               for rec in run_benchmark([spec], [method], 1e-8, 60.0)]
+    builds = []
+
+    def counted_make_instance(spec):
+        builds.append(spec)
+        return make_instance(spec)
+
+    monkeypatch.setattr("sfista.bench.make_instance", counted_make_instance)
+    records = run_benchmark(suite, methods, 1e-8, 60.0, workers=workers)
+    assert sorted(builds, key=suite.index) == suite
+    assert solved(records) == solved(per_row)
+    assert [r.status for r in records[3:6]] == ["error:RuntimeError"] * 3
+
+
 def test_run_benchmark_workers_preserve_order():
     suite = [InstanceSpec("lasso", 20, 40, s, C=2.0) for s in (1, 2)]
     seq = run_benchmark(suite, ["rpf-sfista", "fista-bt"], 1e-6, 60.0, workers=1)

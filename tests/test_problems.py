@@ -1,4 +1,4 @@
-"""Problem generators, file loaders, and the power-method estimator."""
+"""Problem generators, file loaders, and the Lanczos operator-norm estimator."""
 
 import os
 import re
@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sfista
 from sfista.core import eval_phi, grad_fd_check
@@ -23,36 +25,76 @@ from sfista.problems import (
     load_csv_matrix,
     load_matrix_market,
     make_instance,
-    power_method_opnorm_sq,
+    opnorm_sq,
 )
 
 
 # ---------------------------------------------------------------------------
-# power method
+# operator norm
 
 
 def test_power_method_identity():
     n = 5
-    assert power_method_opnorm_sq(lambda v: v, lambda v: v, n) == pytest.approx(1.0)
+    assert opnorm_sq(lambda v: v, lambda v: v, n) == pytest.approx(1.0)
 
 
 def test_power_method_diagonal():
     A = np.diag([1.0, 2.0])
-    got = power_method_opnorm_sq(lambda v: A @ v, lambda v: A @ v, 2)
+    got = opnorm_sq(lambda v: A @ v, lambda v: A @ v, 2)
     assert got == pytest.approx(4.0)
 
 
 def test_power_method_zero_operator():
-    assert power_method_opnorm_sq(lambda v: 0.0 * v, lambda v: 0.0 * v, 4) == 0.0
+    assert opnorm_sq(lambda v: 0.0 * v, lambda v: 0.0 * v, 4) == 0.0
 
 
 def test_power_method_vs_dense_eigensolve():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((6, 6))
     want = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    got = power_method_opnorm_sq(lambda v: A @ v, lambda v: A.T @ v, 6,
-                                 iters=5000, tol=1e-14)
+    got = opnorm_sq(lambda v: A @ v, lambda v: A.T @ v, 6,
+                    iters=5000, tol=1e-14)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+@st.composite
+def _operators(draw):
+    """Dense m x n matrices, 1 <= m, n <= 40: Gaussian, drawn entry by entry
+    (often one repeated fill value with a few other entries), repeated
+    columns (rank deficient), zero, and the n x n identity."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["gaussian", "entries", "repeated", "zero", "identity"]))
+    if kind == "gaussian":
+        return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((m, n))
+    if kind == "zero":
+        return np.zeros((m, n))
+    if kind == "identity":
+        return np.eye(n)
+    entries = st.floats(-10.0, 10.0, allow_subnormal=False)
+    if kind == "entries":
+        return draw(hnp.arrays(np.float64, (m, n), elements=entries))
+    k = draw(st.integers(1, n))
+    cols = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return draw(hnp.arrays(np.float64, (m, k), elements=entries))[:, cols]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operators())
+def test_opnorm_sq_matches_dense_eigensolve(A):
+    want = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    got = opnorm_sq(lambda v: A @ v, lambda v: A.T @ v, A.shape[1])
+    assert abs(got - want) <= 1e-10 * (1.0 + want)
+    again = opnorm_sq(lambda v: A @ v, lambda v: A.T @ v, A.shape[1])
+    assert np.float64(again).tobytes() == np.float64(got).tobytes()
+
+
+def test_lasso_known_L_is_the_exact_norm():
+    # A as gen_lasso_random draws it; A A' is the smaller Gram matrix
+    m, n, seed = 200, 400, 1
+    A = np.random.default_rng(seed).standard_normal((m, n)) / np.sqrt(m)
+    want = float(np.linalg.eigvalsh(A @ A.T)[-1])
+    prob, _ = gen_lasso_random(m, n, 5.0, seed)
+    assert prob.known_L == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +394,18 @@ def test_import_loads_no_scipy():
     src = str(Path(sfista.__file__).resolve().parents[1])
     code = ("import sys; import sfista; "
             "print(sorted(m for m in ('scipy.sparse', 'scipy.io') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
+def test_building_logistic_and_lasso_loads_no_scipy():
+    # known_L comes from numpy alone: scipy.linalg or scipy.sparse.linalg
+    # would roughly double a benchmark process's resident memory
+    src = str(Path(sfista.__file__).resolve().parents[1])
+    code = ("import sys; import sfista; "
+            "[sfista.make_instance(sfista.desk_suite(f, count=1)[0]) for f in ('lasso', 'logistic')]; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"

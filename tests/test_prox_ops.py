@@ -7,6 +7,7 @@ independent of the implementations under test.
 """
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -203,7 +204,7 @@ def _warm_box_hyperplane_prox():
     return lambda v: prox(v, 1.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("project", [
     project_simplex,
     L1Ball(1.0).project,
@@ -211,14 +212,22 @@ def _warm_box_hyperplane_prox():
     _warm_box_hyperplane_prox(),
 ], ids=["simplex", "l1_ball", "box_hyperplane", "box_hyperplane_warm"])
 def test_nonfinite_input_raises(project, bad):
-    with pytest.raises(ValueError, match="NaN or infinite"):
-        project(np.array([bad, 1.0, 2.0]))
+    # the check comes before any arithmetic that would warn on the entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            project(np.array([bad, 1.0, 2.0]))
 
 
 def test_huge_finite_input_projects():
     # u_1 - (u_1 - 1) rounds to 0 at k = 1 for 1e20
     np.testing.assert_array_equal(project_simplex(np.array([1e20, 0.0, 0.0])), [1.0, 0.0, 0.0])
     np.testing.assert_array_equal(L1Ball(1.0).project(np.array([1e20, 0.0, 0.0])), [1.0, 0.0, 0.0])
+    # the shift by the maximum overflows to -inf at the last entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        np.testing.assert_array_equal(project_simplex(np.array([1e308, 0.0, -1e308])),
+                                      [1.0, 0.0, 0.0])
 
 
 def test_bad_radius_raises():
