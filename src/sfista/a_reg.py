@@ -55,12 +55,15 @@ class ARegConfig:
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        if self.B < 1:
+        # written as `not x > 0` so that NaN fails too
+        if not self.B >= 1:
             raise ValueError("B must be at least 1")
-        if self.delta0 <= 0:
+        if not self.delta0 > 0:
             raise ValueError("delta0 must be positive")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
+        if not self.time_limit >= 0:
+            raise ValueError("time_limit must be nonnegative")
 
 
 @dataclass

@@ -2,14 +2,13 @@
 compute the average time ratio (ATR), and emit csv/markdown tables.
 
 Time limiting is cooperative (each solver checks elapsed time once per
-iteration), which keeps iterate sequences deterministic.  Records are merged
-in suite order regardless of worker scheduling, so output files are
-byte-reproducible apart from the runtime column.
+iteration), which keeps iterate sequences deterministic.  Rows run one at a
+time, in suite order, so each runtime is that solve's own wall time and
+output files are byte-reproducible apart from the runtime column.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import math
@@ -97,7 +96,7 @@ def _solve_rpf(problem, z0, eps_hat, time_limit):
 
 def _make_baseline_runner(fn):
     def run(problem, z0, eps_hat, time_limit):
-        cfg = BaselineConfig(eps_hat=eps_hat, residual_mode="relative", time_limit=time_limit)
+        cfg = BaselineConfig(eps_hat=eps_hat, time_limit=time_limit)
         return fn(problem, cfg, z0)
     return run
 
@@ -111,23 +110,15 @@ METHODS: Dict[str, Callable] = {
 }
 
 
-def _build(spec: InstanceSpec) -> concurrent.futures.Future:
-    """make_instance(spec), done now: a finished future of the instance or its error."""
-    instance = concurrent.futures.Future()
-    try:
-        instance.set_result(make_instance(spec))
-    except Exception as exc:
-        instance.set_exception(exc)
-    return instance
-
-
-def _run_one(spec: InstanceSpec, instance: concurrent.futures.Future, method: str,
-             eps_hat: float, time_limit: float) -> RunRecord:
+def _run_one(spec: InstanceSpec, instance, method: str, eps_hat: float,
+             time_limit: float) -> RunRecord:
+    """One row; `instance` is the (problem, z0) pair or the exception its build raised."""
     run = dict(instance_id=spec.instance_id, family=spec.family, m=spec.m, n=spec.n,
                param=spec.param, method=method, seed=spec.seed)
     try:
-        problem, z0 = instance.result()  # a failed build fails each of its rows
-        out = METHODS[method](problem, z0, eps_hat, time_limit)
+        if isinstance(instance, Exception):  # a failed build fails each of its rows
+            raise instance
+        out = METHODS[method](*instance, eps_hat, time_limit)
     except Exception as exc:  # per-row capture: one bad run must not kill the suite
         return RunRecord(**run, status=f"error:{type(exc).__name__}", iters=0,
                          prox_evals=0, grad_evals=0, runtime_s=0.0, rel_residual=math.inf)
@@ -143,42 +134,30 @@ def run_benchmark(
     methods: Sequence[str],
     eps_hat: float,
     time_limit: float,
-    out_path: Optional[str] = None,
-    workers: int = 1,
 ) -> List[RunRecord]:
-    """Run every method on every instance; optionally write the csv table.
+    """Run every method on every instance, one solve at a time.
 
     Each instance is built once and its methods share it: a solve keeps its
-    per-solve state (the warm prox) to itself.  Instances may run across
-    worker threads, but records come back in suite order so the output is
-    deterministic regardless of scheduling.
+    per-solve state (the warm prox) to itself.  Records come in suite order,
+    and each runtime is that solve's own wall time.
     """
     if len(suite) == 0:
         raise ValueError("suite must be nonempty")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
+    if not eps_hat > 0:
+        raise ValueError("eps_hat must be positive")
+    if not time_limit >= 0:
+        raise ValueError("time_limit must be nonnegative")
 
-    if workers <= 1:
-        records = []
-        for spec in suite:
-            instance = _build(spec)
-            records += [_run_one(spec, instance, method, eps_hat, time_limit)
-                        for method in methods]
-    else:
-        # the queue is first in, first out, so a build starts before any of
-        # its method jobs and a job that waits on it cannot hold it up
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for spec in suite:
-                instance = pool.submit(make_instance, spec)
-                futures += [pool.submit(_run_one, spec, instance, method, eps_hat, time_limit)
-                            for method in methods]
-            records = [f.result() for f in futures]
-
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(emit_table(records, "csv"))
+    records = []
+    for spec in suite:
+        try:
+            instance = make_instance(spec)
+        except Exception as exc:
+            instance = exc
+        records += [_run_one(spec, instance, method, eps_hat, time_limit) for method in methods]
     return records
 
 

@@ -88,7 +88,6 @@ def _build_bench_parser():
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument("--out", default="results.csv")
     run_p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--config", default=None, help="key=value config file")
 
     atr_p = sub.add_parser("atr", help="summarize a results csv as an ATR",
@@ -116,8 +115,9 @@ def _bench(args: argparse.Namespace) -> int:
     if args.command == "run":
         suite = desk_suite(args.family.replace("-", "_"), seed=args.seed)
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        records = run_benchmark(suite, methods, eps_hat=args.eps, time_limit=args.time_limit,
-                                out_path=args.out, workers=args.workers)
+        records = run_benchmark(suite, methods, eps_hat=args.eps, time_limit=args.time_limit)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(emit_table(records, "csv"))
         if args.format == "markdown":
             print(emit_table(records, "markdown"))
         print(f"wrote {len(records)} records to {args.out}")

@@ -66,20 +66,23 @@ class SfistaConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if self.beta <= 1:
+        # written as `not x > 0` so that NaN fails too
+        if not self.beta > 1:
             raise ValueError("beta must exceed 1")
         if not 0 < self.chi < 1:
             raise ValueError("chi must lie in (0, 1)")
-        if self.M_lower_init <= 0:
+        if not self.M_lower_init > 0:
             raise ValueError("M_lower_init must be positive")
-        if self.mu0 is not None and self.mu0 <= 0:
+        if self.mu0 is not None and not self.mu0 > 0:
             raise ValueError("fixed mu0 must be positive")
         if not 0 < self.mu_shrink < 1:
             raise ValueError("mu_shrink must lie in (0, 1)")
-        if self.eps_hat <= 0:
+        if not self.eps_hat > 0:
             raise ValueError("eps_hat must be positive")
         if self.residual_mode not in ("absolute", "relative"):
             raise ValueError(f"unknown residual_mode {self.residual_mode!r}")
+        if not self.time_limit >= 0:
+            raise ValueError("time_limit must be nonnegative")
 
     @property
     def kappa(self) -> float:

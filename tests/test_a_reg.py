@@ -47,6 +47,11 @@ def test_config_validation():
         ARegConfig(delta0=0.0)
     with pytest.raises(ValueError):
         ARegConfig(eps=-1.0)
+    nan = float("nan")
+    for bad in ({"B": nan}, {"delta0": nan}, {"eps": nan},
+                {"time_limit": nan}, {"time_limit": -1.0}):
+        with pytest.raises(ValueError):
+            ARegConfig(**bad)
 
 
 # ---------------------------------------------------------------------------

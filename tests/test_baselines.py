@@ -128,8 +128,7 @@ def test_infeasible_start_raises():
 @pytest.mark.parametrize("solver", [solve_rada_fista, solve_greedy_fista])
 def test_fixed_step_high_accuracy_on_lasso(solver):
     prob, z0 = gen_lasso_random(80, 200, 5.0, seed=1)
-    cfg = BaselineConfig(eps_hat=1e-13, residual_mode="relative",
-                         max_total_iters=10**5)
+    cfg = BaselineConfig(eps_hat=1e-13, max_total_iters=10**5)
     out = solver(prob, cfg, z0)
     assert out.status == "converged"
     assert out.total_iters <= 10**5
@@ -143,8 +142,8 @@ def test_counters_track_line_search():
 
 
 @pytest.mark.parametrize("bad", [
-    {"L0": 0.0}, {"L0": -1.0}, {"chi": 0.0}, {"chi": 1.5}, {"eps_hat": -1.0},
-    {"eps_hat": float("nan")}, {"residual_mode": "relativ"},
+    {"L0": 0.0}, {"L0": -1.0}, {"L0": float("nan")}, {"eps_hat": -1.0},
+    {"eps_hat": float("nan")}, {"time_limit": float("nan")}, {"time_limit": -1.0},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -149,6 +149,10 @@ def test_run_benchmark_rejects_empty_and_unknown():
         run_benchmark([], ["rpf-sfista"], 1e-8, 60.0)
     with pytest.raises(ValueError):
         run_benchmark(_tiny_suite(), ["simplex-lp"], 1e-8, 60.0)
+    # checked up front, not as one error row per solve
+    for eps_hat, time_limit in [(math.nan, 60.0), (0.0, 60.0), (1e-8, math.nan), (1e-8, -1.0)]:
+        with pytest.raises(ValueError):
+            run_benchmark(_tiny_suite(), ["rpf-sfista"], eps_hat, time_limit)
 
 
 def test_run_benchmark_error_captured_per_row():
@@ -159,8 +163,7 @@ def test_run_benchmark_error_captured_per_row():
     assert records[0].status.startswith("error:")
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_run_benchmark_builds_each_instance_once(monkeypatch, workers):
+def test_run_benchmark_builds_each_instance_once(monkeypatch):
     """One make_instance call per spec, shared by its methods, gives the
     records of one build per row; a spec whose build fails errors every row."""
     bad = InstanceSpec("qp_simplex", 10, 10, 0, alpha=1000.0,
@@ -183,28 +186,10 @@ def test_run_benchmark_builds_each_instance_once(monkeypatch, workers):
         return make_instance(spec)
 
     monkeypatch.setattr("sfista.bench.make_instance", counted_make_instance)
-    records = run_benchmark(suite, methods, 1e-8, 60.0, workers=workers)
+    records = run_benchmark(suite, methods, 1e-8, 60.0)
     assert sorted(builds, key=suite.index) == suite
     assert solved(records) == solved(per_row)
     assert [r.status for r in records[3:6]] == ["error:RuntimeError"] * 3
-
-
-def test_run_benchmark_workers_preserve_order():
-    suite = [InstanceSpec("lasso", 20, 40, s, C=2.0) for s in (1, 2)]
-    seq = run_benchmark(suite, ["rpf-sfista", "fista-bt"], 1e-6, 60.0, workers=1)
-    par = run_benchmark(suite, ["rpf-sfista", "fista-bt"], 1e-6, 60.0, workers=4)
-    assert [(r.instance_id, r.method, r.iters) for r in seq] == \
-           [(r.instance_id, r.method, r.iters) for r in par]
-
-
-def test_run_benchmark_workers_agree_on_box_qp():
-    suite = [InstanceSpec("qp_box", 8, 16, s, mu_target=1e-2) for s in (1, 2)]
-    methods = ["rpf-sfista", "fista-r", "greedy"]
-    seq = run_benchmark(suite, methods, 1e-8, 60.0, workers=1)
-    par = run_benchmark(suite, methods, 1e-8, 60.0, workers=4)
-    assert all(r.status == "converged" for r in seq)
-    assert [(r.iters, r.prox_evals, r.rel_residual) for r in seq] == \
-           [(r.iters, r.prox_evals, r.rel_residual) for r in par]
 
 
 def test_threads_share_one_box_hyperplane(monkeypatch):
@@ -428,7 +413,7 @@ def test_cli_config_values_checked_like_flags(tmp_path, monkeypatch, capsys, sol
 
 @pytest.mark.parametrize("argv,key", [
     (["run", "--family", "lasso"], "subject = greedy"),  # a key of `bench atr`
-    (["atr", "--in", "r.csv"], "workers = 2"),  # a key of `bench run`
+    (["atr", "--in", "r.csv"], "seed = 7"),  # a key of `bench run`
     (["atr", "--in", "r.csv"], "in_path = r.csv"),  # the dest, not the flag
 ])
 def test_cli_config_rejects_the_other_commands_keys(tmp_path, monkeypatch, capsys, solves,
@@ -449,6 +434,14 @@ def test_cli_library_errors_exit_as_usage_errors(tmp_path, monkeypatch, capsys):
     (tmp_path / "r.csv").write_text(emit_table([_record(method="greedy")], "csv"))
     err = _usage_error(capsys, bench_main, ["atr", "--in", "r.csv"])
     assert "error: ATR needs at least one paired run" in err
+    # a NaN tolerance stops both commands before any solve
+    np.savetxt("A.csv", np.eye(3), delimiter=",")
+    for main, argv in [(solve_main, ["--problem", "A.csv"]),
+                       (bench_main, ["run", "--family", "lasso"])]:
+        err = _usage_error(capsys, main, [*argv, "--eps", "nan"])
+        assert "error: eps_hat must be positive" in err
+        assert "Traceback" not in err and err.count("error:") == 1
+    assert not (tmp_path / "results.csv").exists()
 
 
 @pytest.mark.parametrize("main,argv", [

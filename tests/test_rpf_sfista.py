@@ -49,6 +49,12 @@ def test_config_validation():
         SfistaConfig(eps_hat=0.0)
     with pytest.raises(ValueError):
         SfistaConfig(residual_mode="bogus")
+    nan = float("nan")
+    for bad in ({"eps_hat": nan}, {"M_lower_init": nan}, {"mu0": nan}, {"beta": nan},
+                {"time_limit": nan}, {"time_limit": -1.0}):
+        with pytest.raises(ValueError):
+            SfistaConfig(**bad)
+    SfistaConfig(time_limit=0.0)  # A-REG's inner solves may get no time left
 
 
 def test_kappa():
