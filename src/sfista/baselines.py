@@ -2,9 +2,10 @@
 
 The four methods are one FISTA loop with three rules (`_RULES`): the step,
 the restart and the momentum.  The backtracking variants run the restarted
-solver's own line search (`core.line_search`, doubling in place of beta),
-and all four share its oracle-counting and termination rules, so iteration
-and runtime comparisons against it are apples-to-apples.
+solver's own line search (`core.line_search`, doubling L in place of
+`rpf_sfista._BETA` = 1.25), and all four share its oracle-counting and
+termination rules, so iteration and runtime comparisons against it are
+apples-to-apples.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ __all__ = [
     "solve_greedy_fista",
     "gradient_restart_fires",
 ]
-
-# line-search slack of the backtracking variants, rpf-sfista's default chi
-_CHI = 0.001
 
 
 @dataclass
@@ -111,7 +109,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
         x_tilde = X_tilde[pt]
         if gamma is None:  # doubling line search from a fixed x_tilde
             point = (X_tilde, oracle.grad(X_tilde), oracle.f(X_tilde))
-            L, _, g_xt, Y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0, _CHI)
+            L, _, g_xt, Y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0)
             y = Y[pt]
             s = L * (x_tilde - y)
         else:

@@ -31,6 +31,10 @@ __all__ = [
 # Slack in the line-search acceptance: the two sides cancel to roundoff when
 # the iterates are nearly stationary.
 _LS_SLACK = 1e-12
+# chi, the line-search slack of all five methods: a step is accepted when f(y)
+# lies below its model with curvature (1 - chi) L / 2.  rpf-sfista's restart
+# test and bootstrap mu use the same chi.
+_CHI = 0.001
 _L_OVERFLOW = 1e30
 
 
@@ -190,9 +194,9 @@ class CountingOracle:
     warm-started from the previous one keeps its state here, not in the set.
     """
 
-    def __init__(self, problem: CompositeProblem, counters: OracleCounters | None = None):
+    def __init__(self, problem: CompositeProblem):
         self.problem = problem
-        self.counters = counters if counters is not None else OracleCounters()
+        self.counters = OracleCounters()
         self._shape = (problem.dim,)
         h_prox = problem.h_prox
         owner = getattr(h_prox, "__self__", None)
@@ -308,7 +312,6 @@ def line_search(
     trial_point: Callable[[float], tuple],
     L: float,
     growth: float,
-    chi: float,
 ):
     """Multiply L by `growth` until y = prox(x_tilde - grad f(x_tilde) / L)
     satisfies ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y).
@@ -328,7 +331,7 @@ def line_search(
         f_y = oracle.f(Y)
         d = y - x_tilde
         ell = f_xt + float(g @ d)
-        test = ell - f_y + (1.0 - chi) * L * float(d @ d) / 4.0
+        test = ell - f_y + (1.0 - _CHI) * L * float(d @ d) / 4.0
         if test >= -_LS_SLACK * (1.0 + abs(f_y)):
             return L, X_tilde, g, Y, f_y, ell
         if math.isnan(test):

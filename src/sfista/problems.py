@@ -47,6 +47,11 @@ class InstanceSpec:
     r: float = 5.0
     b: float = 0.0
 
+    def __post_init__(self):
+        # numpy's generators reject a negative seed only when the instance is built
+        if self.seed < 0:
+            raise ValueError(f"instance seed must be nonnegative, got {self.seed}")
+
     @property
     def instance_id(self) -> str:
         return f"{self.family}-m{self.m}-n{self.n}-s{self.seed}"

@@ -106,8 +106,8 @@ class L1Ball(ConvexSet):
     """The l1 ball {z : ||z||_1 <= radius}."""
 
     def __init__(self, radius: float):
-        if not radius > 0:
-            raise ValueError(f"l1-ball radius must be positive, got {radius}")
+        if not 0 < radius < math.inf:
+            raise ValueError(f"l1-ball radius must be positive and finite, got {radius}")
         self.radius = float(radius)
         self._limit = self.radius * (1.0 + _FEAS_TOL)
 
@@ -167,8 +167,10 @@ class BoxHyperplane(ConvexSet):
 
     def __init__(self, a, b: float, r: float):
         a = np.array(a, dtype=float)
-        if not r > 0:
-            raise ValueError("box half-width r must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError(f"box half-width r must be positive and finite, got {r}")
+        if not np.isfinite(a).all():
+            raise ValueError("hyperplane normal a must be finite")
         if not np.any(a):
             raise ValueError("hyperplane normal a must be nonzero")
         reach = r * np.abs(a).sum()

@@ -18,6 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from .core import (
+    _CHI,
     CompositeProblem,
     CountingOracle,
     SolveOutput,
@@ -29,17 +30,16 @@ from .core import (
 
 __all__ = [
     "SfistaConfig",
-    "SfistaState",
     "SfistaTraceRow",
     "solve_sfista",
-    "backtracking_step",
-    "momentum_update",
-    "restart_check",
+    "restart_fires",
 ]
 
 # Guard below which ||y - x_tilde|| is treated as zero (relative to iterate
 # scale): the restart test's right-hand side vanishes and v is near-exact.
 _STATIONARY_RTOL = 1e-14
+# growth factor of L in the line search
+_BETA = 1.25
 
 
 @dataclass
@@ -54,8 +54,6 @@ class SfistaConfig:
     ||v|| <= eps_hat, 'relative' tests ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    beta: float = 1.25
-    chi: float = 0.001
     M_lower_init: float = 10.0
     mu0: Optional[float] = None
     mu_shrink: float = 0.5
@@ -67,10 +65,6 @@ class SfistaConfig:
 
     def __post_init__(self):
         # written as `not x > 0` so that NaN fails too
-        if not self.beta > 1:
-            raise ValueError("beta must exceed 1")
-        if not 0 < self.chi < 1:
-            raise ValueError("chi must lie in (0, 1)")
         if not self.M_lower_init > 0:
             raise ValueError("M_lower_init must be positive")
         if self.mu0 is not None and not self.mu0 > 0:
@@ -83,45 +77,6 @@ class SfistaConfig:
             raise ValueError(f"unknown residual_mode {self.residual_mode!r}")
         if not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
-
-    @property
-    def kappa(self) -> float:
-        """Worst-case line-search overshoot factor 2*beta/(1-chi)."""
-        return 2.0 * self.beta / (1.0 - self.chi)
-
-
-@dataclass
-class SfistaState:
-    """All per-iteration quantities of one cycle.
-
-    x, y, xi, x0_cycle and x_tilde are lifted points (CountingOracle.lift):
-    the point is their first `dim` entries, or all of them when dim is None.
-    """
-
-    cycle: int
-    j: int
-    A: float
-    tau: float
-    L: float
-    mu: float
-    x: np.ndarray
-    y: np.ndarray
-    xi: np.ndarray
-    x0_cycle: np.ndarray
-    phi_xi: float
-    dim: Optional[int] = None
-    # whether xi has left the cycle's start point (always true in exact
-    # arithmetic after j = 1, by strict descent of the first prox step)
-    xi_moved: bool = False
-    # step-2/3 outputs of the current iteration
-    a: float = 0.0
-    x_tilde: Optional[np.ndarray] = None
-    s: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    grad_x_tilde: Optional[np.ndarray] = None
-    f_y: float = math.nan
-    ell_y: float = math.nan
-    phi_y: float = math.nan
 
 
 @dataclass
@@ -153,41 +108,8 @@ class SfistaTraceRow:
         return self.gamma_y + float(self.s @ d) + self.mu / 4.0 * float(d @ d)
 
 
-def backtracking_step(state: SfistaState, oracle: CountingOracle, config: SfistaConfig):
-    """One accelerated prox step with line search on L.
-
-    Multiplies L by beta until the local descent inequality
-    ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y) holds, then
-    records a, x_tilde, L and the quantities needed downstream in the state
-    and returns y.  Every rejected L consumed one prox evaluation.  x_tilde
-    and y are lifted (CountingOracle.lift).  Raises RuntimeError when the
-    step weight overflows, which a long enough cycle reaches through the
-    growth of A and tau.
-    """
-    A, tau = state.A, state.tau
-    x_prev, y_prev = state.x, state.y
-
-    def trial_point(L):
-        # x_tilde moves with L through the step weight a; the last trial's a
-        # is the accepted one
-        a = (tau + math.sqrt(tau * tau + 4.0 * tau * A * L)) / (2.0 * L)
-        if math.isinf(A + a):
-            raise RuntimeError(
-                f"RPF-SFISTA: the step weight overflowed in cycle {state.cycle} at "
-                f"j = {state.j} (A = {A:.3g}, tau = {tau:.3g}, L = {L:.3g})"
-            )
-        state.a = a
-        x_tilde = (A * y_prev + a * x_prev) / (A + a)
-        f_xt = oracle.f(x_tilde)
-        return x_tilde, oracle.grad(x_tilde), f_xt
-
-    (state.L, state.x_tilde, state.grad_x_tilde, y, state.f_y,
-     state.ell_y) = line_search(oracle, trial_point, state.L, config.beta, config.chi)
-    return y
-
-
 def _bootstrap_mu(
-    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, chi: float, fallback: float
+    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, fallback: float
 ) -> float:
     """Data-driven initial strong-convexity estimate from the first prox step.
 
@@ -199,64 +121,21 @@ def _bootstrap_mu(
     gap = f_y - ell_y
     if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))) or gap <= 0.0:
         return fallback
-    return 4.0 * gap / ((1.0 - chi) * nd2)
+    return 4.0 * gap / ((1.0 - _CHI) * nd2)
 
 
-def momentum_update(state: SfistaState, y_j: np.ndarray, oracle: CountingOracle) -> SfistaState:
-    """Step-3 updates: phi(y), best-point, A, tau, s, x, and the residual v.
+def restart_fires(
+    xi: np.ndarray, x0: np.ndarray, y: np.ndarray, x_tilde: np.ndarray, A: float, L: float
+) -> bool:
+    """Restart predicate: ||xi - x0||^2 < chi A L ||y - x_tilde||^2.
 
-    Reads the step weight a and L of the iteration from the state.  The
-    best-point tie (phi(y_j) equal to the incumbent) keeps y_j.  y_j is
-    lifted, and x is updated as a lifted point.
-
-    An image carried in x does not drift, so it needs no refresh.
-    x = ((mu a / 2 + a L) y + tau_prev x - a L x_tilde) / tau and
-    x_tilde = (A y + a x) / (A + a), so an error e in the image of the old x
-    enters the new one with weight tau_prev / tau - (a L / tau) a / (A + a),
-    which is exactly 0 because a solves L a^2 = tau_prev (A + a).  y's image
-    is fresh, so each x image holds one step's rounding error.  The
-    certificate v stays exact whatever x_tilde's image is: grad f(y) is
-    fresh, and v lies in grad f(y) + dh(y) for the gradient the prox step
-    used.
+    A near-stationary y (||y - x_tilde|| at roundoff scale) makes the
+    right-hand side vanish, so a restart would be spurious: it never fires.
     """
-    pt = slice(state.dim)
-    a = state.a
-    state.phi_y = phi_y = state.f_y + oracle.h(y_j[pt])
-    if phi_y <= state.phi_xi:
-        state.xi = y_j
-        state.phi_xi = phi_y
-        state.xi_moved = True
-    tau_prev = state.tau
-    state.A = state.A + a
-    state.tau = tau_prev + a * state.mu / 2.0
-    S = state.L * (state.x_tilde - y_j)
-    state.x = (state.mu * a * y_j / 2.0 + tau_prev * state.x - a * S) / state.tau
-    state.s = S[pt]
-    state.v = oracle.grad(y_j) - state.grad_x_tilde + state.s
-    state.y = y_j
-    return state
-
-
-def restart_check(state: SfistaState, config: SfistaConfig) -> str:
-    """'continue' iff ||xi - x0||^2 >= chi A L ||y - x_tilde||^2, else 'restart'.
-
-    Two roundoff guards skip the check.  A near-stationary y (||y - x_tilde||
-    at roundoff scale) makes the right-hand side vanish, so a restart would be
-    spurious.  And if xi never left the cycle's start point, the first prox
-    step failed to decrease phi -- impossible in exact arithmetic -- so the
-    iterates are at the numerical optimum and a restart would re-enter the
-    same cycle forever.
-    """
-    if not state.xi_moved:
-        return "continue"
-    pt = slice(state.dim)
-    x_tilde = state.x_tilde[pt]
-    nd = float(np.linalg.norm(state.y[pt] - x_tilde))
+    nd = float(np.linalg.norm(y - x_tilde))
     if nd <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))):
-        return "continue"
-    lhs = float(np.linalg.norm(state.xi[pt] - state.x0_cycle[pt])) ** 2
-    rhs = config.chi * state.A * state.L * nd * nd
-    return "continue" if lhs >= rhs else "restart"
+        return False
+    return float(np.linalg.norm(xi - x0)) ** 2 < _CHI * A * L * nd * nd
 
 
 def _clamp_m_lower(prev: float, floor: float) -> float:
@@ -270,99 +149,132 @@ def _clamp_m_lower(prev: float, floor: float) -> float:
     return min(max(0.4 * prev, lo), prev)
 
 
-def _cycle_start(
-    cycle: int, L: float, mu: float, z: np.ndarray, phi_z: float, dim: Optional[int]
-) -> SfistaState:
-    """State at j = 1 of a cycle that starts from the lifted point z with
-    estimates L and mu."""
-    return SfistaState(cycle=cycle, j=1, A=0.0, tau=1.0, L=L, mu=mu,
-                       x=z, y=z, xi=z, x0_cycle=z, phi_xi=phi_z, dim=dim)
-
-
 def solve_sfista(
     problem: CompositeProblem, config: SfistaConfig, z0: np.ndarray
 ) -> SolveOutput:
-    """Run RPF-SFISTA from z0 until the residual test, or a cap, is met."""
+    """Run RPF-SFISTA from z0 until the residual test, or a cap, is met.
+
+    Each iteration takes an accelerated prox step with a line search that
+    multiplies L by beta until ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4
+    >= f(y) holds, updates the momentum point x, A and tau, and tests the
+    restart inequality.  A restart starts a new cycle from the best point xi
+    with a smaller mu.  At a cap the output holds the last prox output y and
+    its certificate v; xi stays the best point.  Raises RuntimeError when the
+    step weight overflows, which a long enough cycle reaches through the
+    growth of A and tau.
+    """
     z0 = check_start(problem, z0)
 
     start = time.monotonic()
     oracle = CountingOracle(problem)
-    Z0 = oracle.lift(z0)
     pt = oracle.pt
     denom = None
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
     M_bar0 = config.M_lower_init
     mu = config.mu0  # None until bootstrapped
-    cycle = 1
-    total_iters = 0
-    state = _cycle_start(cycle, M_bar0, math.nan if mu is None else mu, Z0,
-                         oracle.f(Z0) + oracle.h(z0), pt.stop)
+    cycle, j, total_iters = 1, 1, 0
+    A, tau, L, a = 0.0, 1.0, M_bar0, 0.0
+    # lifted points (CountingOracle.lift): the momentum point x, the previous
+    # y, the best point xi and the cycle's start x0; Y is the last prox output
+    X = Y_prev = XI = X0 = Y = oracle.lift(z0)
+    phi_xi = oracle.f(X) + oracle.h(z0)
+    # whether xi has left the cycle's start point (always true in exact
+    # arithmetic after j = 1, by strict descent of the first prox step)
+    xi_moved = False
+    v = np.zeros(problem.dim)
+    status = "iter_cap"
 
-    while True:
-        if total_iters >= config.max_total_iters:
-            status = "iter_cap"
-            break
+    def trial_point(L):
+        # x_tilde moves with L through the step weight a; the last trial's a
+        # is the accepted one
+        nonlocal a
+        a = (tau + math.sqrt(tau * tau + 4.0 * tau * A * L)) / (2.0 * L)
+        if math.isinf(A + a):
+            raise RuntimeError(
+                f"RPF-SFISTA: the step weight overflowed in cycle {cycle} at "
+                f"j = {j} (A = {A:.3g}, tau = {tau:.3g}, L = {L:.3g})"
+            )
+        X_tilde = (A * Y_prev + a * X) / (A + a)
+        f_xt = oracle.f(X_tilde)
+        return X_tilde, oracle.grad(X_tilde), f_xt
+
+    while total_iters < config.max_total_iters:
         if time.monotonic() - start > config.time_limit:
             status = "time_cap"
             break
         total_iters += 1
 
-        Y = backtracking_step(state, oracle, config)
+        L, X_tilde, g_xt, Y, f_y, ell_y = line_search(oracle, trial_point, L, _BETA)
+        x_tilde, y = X_tilde[pt], Y[pt]
         if denom is None:
             # the first x_tilde is z0 (A = 0), up to rounding
-            denom = residual_denominator(config.residual_mode, state.grad_x_tilde)
+            denom = residual_denominator(config.residual_mode, g_xt)
 
         if mu is None:
             # a0 and y1 never depend on mu (A0 = 0), so the bootstrap value
             # can be installed right before the first tau/x update.
-            x_tilde = state.x_tilde[pt]
-            mu = _bootstrap_mu(state.f_y, state.ell_y, Y[pt] - x_tilde, x_tilde,
-                               config.chi, config.M_lower_init)
-            state.mu = mu
+            mu = _bootstrap_mu(f_y, ell_y, y - x_tilde, x_tilde, config.M_lower_init)
 
-        tau_prev = state.tau
-        momentum_update(state, Y, oracle)
+        # the best-point tie (phi(y) equal to the incumbent) keeps y
+        phi_y = f_y + oracle.h(y)
+        if phi_y <= phi_xi:
+            XI, phi_xi, xi_moved = Y, phi_y, True
+        # An image carried in x does not drift, so it needs no refresh.
+        # x = ((mu a / 2 + a L) y + tau_prev x - a L x_tilde) / tau and
+        # x_tilde = (A y + a x) / (A + a), so an error e in the image of the
+        # old x enters the new one with weight
+        # tau_prev / tau - (a L / tau) a / (A + a), which is exactly 0 because
+        # a solves L a^2 = tau_prev (A + a).  y's image is fresh, so each x
+        # image holds one step's rounding error.  The certificate v stays
+        # exact whatever x_tilde's image is: grad f(y) is fresh, and v lies in
+        # grad f(y) + dh(y) for the gradient the prox step used.
+        tau_prev = tau
+        A = A + a
+        tau = tau_prev + a * mu / 2.0
+        S = L * (X_tilde - Y)
+        X = (mu * a * Y / 2.0 + tau_prev * X - a * S) / tau
+        s = S[pt]
+        v = oracle.grad(Y) - g_xt + s
+        Y_prev = Y
 
+        # If xi never left the cycle's start point, the first prox step failed
+        # to decrease phi -- impossible in exact arithmetic -- so the iterates
+        # are at the numerical optimum and a restart would re-enter the same
+        # cycle forever.
+        restart = xi_moved and restart_fires(XI[pt], X0[pt], y, x_tilde, A, L)
         if trace is not None:
             trace.append(SfistaTraceRow(
-                cycle=state.cycle, j=state.j, L=state.L, A=state.A, tau=state.tau,
-                a=state.a, tau_prev=tau_prev,
-                v_norm=float(np.linalg.norm(state.v)), phi_xi=state.phi_xi,
-                restarted=False, y=Y[pt].copy(), s=state.s.copy(), mu=state.mu,
-                gamma_y=state.phi_y + 2.0 * (state.ell_y - state.f_y),
+                cycle=cycle, j=j, L=L, A=A, tau=tau, a=a, tau_prev=tau_prev,
+                v_norm=float(np.linalg.norm(v)), phi_xi=phi_xi, restarted=restart,
+                y=y.copy(), s=s.copy(), mu=mu, gamma_y=phi_y + 2.0 * (ell_y - f_y),
             ))
-
-        if restart_check(state, config) == "restart":
-            if trace is not None:
-                trace[-1].restarted = True
-            M_bar = state.L
-            mu = config.mu_shrink * mu
+        if restart:
             cycle += 1
-            M_lower = _clamp_m_lower(M_bar, M_bar0)
-            state = _cycle_start(cycle, M_lower, mu, state.xi, state.phi_xi, pt.stop)
+            j, A, tau, xi_moved = 1, 0.0, 1.0, False
+            L = _clamp_m_lower(L, M_bar0)
+            mu = config.mu_shrink * mu
+            X = Y_prev = X0 = XI
             continue
 
-        residual = float(np.linalg.norm(state.v)) / denom
+        residual = float(np.linalg.norm(v)) / denom
         if math.isnan(residual):
             # grad f(y) is not part of the line-search test; with x_tilde and
             # y finite, v is NaN only through it
             raise RuntimeError(nan_message(
-                "RPF-SFISTA", "the residual",
-                (("grad", state.grad_x_tilde), ("prox", Y[pt]), ("grad", state.v)),
+                "RPF-SFISTA", "the residual", (("grad", g_xt), ("prox", y), ("grad", v)),
             ))
         if residual <= config.eps_hat:
             status = "converged"
             break
 
-        state.j += 1
+        j += 1
 
-    residual = float(np.linalg.norm(state.v)) / denom if state.v is not None else math.inf
     # copies, so that an output holds no lifted point's image alive
-    y = state.y[pt].copy()
+    y = Y[pt].copy()
     return SolveOutput(
-        y=y, v=state.v if state.v is not None else np.zeros(problem.dim),
-        xi=y if state.xi is state.y else state.xi[pt].copy(), L_final=state.L,
+        y=y, v=v, xi=y if XI is Y else XI[pt].copy(), L_final=L,
         cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,
-        residual=residual, trace=trace, runtime_s=time.monotonic() - start,
+        residual=math.inf if denom is None else float(np.linalg.norm(v)) / denom,
+        trace=trace, runtime_s=time.monotonic() - start,
     )

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -441,6 +442,19 @@ def test_cli_library_errors_exit_as_usage_errors(tmp_path, monkeypatch, capsys):
         err = _usage_error(capsys, main, [*argv, "--eps", "nan"])
         assert "error: eps_hat must be positive" in err
         assert "Traceback" not in err and err.count("error:") == 1
+    # a negative seed and an infinite radius are rejected before any solve or
+    # arithmetic that would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for main, argv, msg in [
+            (bench_main, ["run", "--family", "lasso", "--seed", "-1", "--methods", "greedy"],
+             "error: instance seed must be nonnegative, got -1"),
+            (solve_main, ["--problem", "A.csv", "--c", "inf"],
+             "error: l1-ball radius must be positive and finite, got inf"),
+        ]:
+            err = _usage_error(capsys, main, argv)
+            assert msg in err
+            assert "Traceback" not in err and err.count("error:") == 1
     assert not (tmp_path / "results.csv").exists()
 
 

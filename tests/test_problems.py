@@ -279,6 +279,11 @@ def test_make_instance_unknown_family():
         make_instance(InstanceSpec("mystery", 5, 5, 0))
 
 
+def test_instance_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="instance seed must be nonnegative, got -1"):
+        InstanceSpec("lasso", 20, 40, -1)
+
+
 # ---------------------------------------------------------------------------
 # MatrixMarket loader
 

@@ -450,3 +450,14 @@ def test_spec_validation():
         BoxHyperplane(np.ones(3), 0.0, 0.0)
     with pytest.raises(ValueError, match="is empty"):
         BoxHyperplane(np.ones(3), 3.5, 1.0)
+    # a size must be finite, and the message names the parameter
+    with pytest.raises(ValueError, match="radius must be positive and finite, got inf"):
+        L1Ball(np.inf)
+    for bad_r in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="half-width r must be positive and finite"):
+            BoxHyperplane(np.ones(3), 0.0, bad_r)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="normal a must be finite"):
+            BoxHyperplane(np.array([1.0, bad, 1.0]), 0.0, 1.0)
+    # a box keeps infinite bounds
+    np.testing.assert_array_equal(Box(-np.inf, np.inf).project(np.array([3.0])), [3.0])

@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sfista.core import CompositeProblem, CountingOracle, eval_phi
-from sfista.problems import gen_lasso_random, gen_qp_simplex
-from sfista.rpf_sfista import (
-    SfistaConfig,
-    SfistaState,
-    backtracking_step,
-    momentum_update,
-    restart_check,
-    solve_sfista,
-)
+from sfista.a_reg import ARegConfig, solve_areg
+from sfista.core import CompositeProblem, eval_phi
+from sfista.problems import InstanceSpec, gen_lasso_random, gen_qp_simplex, make_instance
+from sfista.rpf_sfista import SfistaConfig, restart_fires, solve_sfista
 
 
 def _free_problem(f_eval, f_grad, dim, **kw):
@@ -32,15 +26,18 @@ def _scalar_quadratic(c=1.0):
     )
 
 
+def _steps(prob, z0, iters, L):
+    """The first `iters` iterations of a solve that enters with L and mu = 1."""
+    cfg = SfistaConfig(M_lower_init=L, mu0=1.0, eps_hat=1e-300,
+                       max_total_iters=iters, trace=True)
+    return solve_sfista(prob, cfg, np.array(z0, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SfistaConfig(beta=1.0)
-    with pytest.raises(ValueError):
-        SfistaConfig(chi=0.0)
     with pytest.raises(ValueError):
         SfistaConfig(mu0=-1.0)
     with pytest.raises(ValueError):
@@ -50,69 +47,43 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SfistaConfig(residual_mode="bogus")
     nan = float("nan")
-    for bad in ({"eps_hat": nan}, {"M_lower_init": nan}, {"mu0": nan}, {"beta": nan},
+    for bad in ({"eps_hat": nan}, {"M_lower_init": nan}, {"mu0": nan},
                 {"time_limit": nan}, {"time_limit": -1.0}):
         with pytest.raises(ValueError):
             SfistaConfig(**bad)
     SfistaConfig(time_limit=0.0)  # A-REG's inner solves may get no time left
 
 
-def test_kappa():
-    cfg = SfistaConfig()
-    assert cfg.kappa == pytest.approx(2.0 * 1.25 / (1.0 - 0.001))
-
-
 # ---------------------------------------------------------------------------
-# step formulas
+# step formulas, read from the trace of short solves
 
 
 def test_a_formula_at_cycle_start():
     # tau=1, A=0, L=4 -> a = (1 + sqrt(1)) / 8 = 0.25
-    prob = _scalar_quadratic(c=1.0)
-    oracle = CountingOracle(prob)
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=4.0, mu=1.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=0.5,
-    )
-    backtracking_step(state, oracle, SfistaConfig())
-    assert state.a == pytest.approx(0.25)
-    assert state.L == pytest.approx(4.0)  # curvature 1, L=4 passes at first try
-    np.testing.assert_allclose(state.x_tilde, [1.0])
+    row = _steps(_scalar_quadratic(c=1.0), [1.0], 1, L=4.0).trace[0]
+    assert row.a == pytest.approx(0.25)
+    assert row.L == pytest.approx(4.0)  # curvature 1, L=4 passes at first try
+    np.testing.assert_allclose(row.y + row.s / row.L, [1.0])  # x_tilde = z0
 
 
 def test_backtracking_increases_L_when_needed():
     # curvature 100 with entering L=1 forces several beta multiplications;
     # accepted L is the smallest beta-power for which the inequality holds
-    prob = _scalar_quadratic(c=100.0)
-    oracle = CountingOracle(prob)
-    cfg = SfistaConfig()
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=1.0, mu=1.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=50.0,
-    )
-    backtracking_step(state, oracle, cfg)
-    L = state.L
+    out = _steps(_scalar_quadratic(c=100.0), [1.0], 1, L=1.0)
+    L = out.trace[0].L
     assert L > 1.0
-    assert L <= cfg.kappa * 100.0 * cfg.beta
+    # the worst-case overshoot 2 beta / (1 - chi) of the curvature, times beta
+    assert L <= 2.0 * 1.25 / (1.0 - 0.001) * 100.0 * 1.25
     # the prior beta step must have failed: L/beta violates the inequality
-    k = round(math.log(L) / math.log(cfg.beta))
-    assert L == pytest.approx(cfg.beta ** k)
+    k = round(math.log(L) / math.log(1.25))
+    assert L == pytest.approx(1.25 ** k)
     # rejected line-search tries each consumed one prox evaluation
-    assert oracle.counters.prox_evals == k + 1
+    assert out.counters.prox_evals == k + 1
 
 
 def test_backtracking_counts_rejections():
-    prob = _scalar_quadratic(c=10.0)
-    oracle = CountingOracle(prob)
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=40.0, mu=1.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=5.0,
-    )
-    backtracking_step(state, oracle, SfistaConfig())
-    assert oracle.counters.prox_evals == 1  # 4x curvature passes immediately
+    out = _steps(_scalar_quadratic(c=10.0), [1.0], 1, L=40.0)
+    assert out.counters.prox_evals == 1  # 4x curvature passes immediately
 
 
 def test_line_search_overflow_raises():
@@ -125,124 +96,78 @@ def test_line_search_overflow_raises():
         h_prox=lambda p, lam: np.array([0.0]),
         h_eval=lambda z: 0.0,
     )
-    oracle = CountingOracle(prob)
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=1.0, mu=1.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=1.0,
-    )
-    with pytest.raises(RuntimeError):
-        backtracking_step(state, oracle, SfistaConfig())
+    with pytest.raises(RuntimeError, match="line search exceeded L = 1e30"):
+        _steps(prob, [1.0], 1, L=1.0)
 
 
 def test_step_weight_overflow_raises():
-    # A, tau and L where 4 tau A L overflows: the first inner cycle of A-REG
-    # at eps 1e-13 on logistic-m120-n80-s45 reached them, and the inf step
-    # weight made x_tilde NaN
-    state = SfistaState(
-        cycle=1, j=3158, A=5.3e153, tau=8.3e152, L=12.5, mu=1.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=0.5,
-    )
+    # the first inner cycle of A-REG at eps 1e-13 on logistic-m120-n80-s45
+    # grows A and tau until 4 tau A L overflows; an inf step weight would make
+    # x_tilde NaN
+    prob, z0 = make_instance(InstanceSpec("logistic", 120, 80, 45))
     with pytest.raises(RuntimeError, match=r"RPF-SFISTA: the step weight overflowed in cycle 1 "
-                       r"at j = 3158 \(A = 5.3e\+153, tau = 8.3e\+152, L = 12.5\)"):
-        backtracking_step(state, CountingOracle(_scalar_quadratic()), SfistaConfig())
+                       r"at j = 3158 \(A = 5.31e\+153, tau = 8.29e\+152, L = 12.5\)"):
+        solve_areg(prob, ARegConfig(eps=1e-13), z0)
 
 
 def test_momentum_update_worked_example():
-    # 1-D hand-evaluated step: x_{j-1}=1, y_j=0.5, x_tilde=1, L=2, a=0.25,
-    # mu=1, tau_{j-1}=1, A_{j-1}=0
-    prob = _scalar_quadratic()
-    oracle = CountingOracle(prob)
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=2.0, mu=1.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=0.5,
-    )
-    state.x_tilde = np.array([1.0])
-    state.grad_x_tilde = np.array([1.0])
-    state.a = 0.25
-    state.f_y = 0.125
-    momentum_update(state, np.array([0.5]), oracle)
-    assert state.tau == pytest.approx(1.125)
-    np.testing.assert_allclose(state.s, [1.0])  # L (x_tilde - y) = 2 * 0.5
-    # x_j = (mu a y / 2 + tau x - a s) / tau_j = (0.0625 + 1 - 0.25) / 1.125
-    np.testing.assert_allclose(state.x, [0.8125 / 1.125])
-    assert state.A == pytest.approx(0.25)
-    # xi updated: phi(y) = 0.125 < 0.5
-    np.testing.assert_allclose(state.xi, [0.5])
+    # 1-D hand-evaluated first step: x_0 = 1, L = 4, mu = 1, tau_0 = 1,
+    # A_0 = 0, so a = 0.25, x_tilde = 1 and y = 1 - 1/4
+    rows = _steps(_scalar_quadratic(), [1.0], 3, L=4.0).trace
+    first = rows[0]
+    np.testing.assert_allclose(first.y, [0.75])
+    assert first.tau == pytest.approx(1.125)  # tau_0 + a mu / 2
+    np.testing.assert_allclose(first.s, [1.0])  # L (x_tilde - y) = 4 * 0.25
+    assert first.A == pytest.approx(0.25)
+    # xi updated: phi(y) = 0.28125 < 0.5
+    assert first.phi_xi == pytest.approx(0.28125)
 
+    def x_from_next(row, nxt):
+        # x_tilde = (A y + a x) / (A + a) at the next step, with x_tilde = y + s / L
+        x_tilde = nxt.y + nxt.s / nxt.L
+        return (nxt.A * x_tilde - row.A * row.y) / nxt.a
 
-def test_momentum_mu_zero_keeps_tau():
-    prob = _scalar_quadratic()
-    oracle = CountingOracle(prob)
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=2.0, mu=0.0,
-        x=np.array([1.0]), y=np.array([1.0]), xi=np.array([1.0]),
-        x0_cycle=np.array([1.0]), phi_xi=0.5,
-    )
-    state.x_tilde = np.array([1.0])
-    state.grad_x_tilde = np.array([1.0])
-    state.a = 0.25
-    state.f_y = 0.125
-    momentum_update(state, np.array([0.5]), oracle)
-    assert state.tau == pytest.approx(1.0)
+    # x_j = (mu a y / 2 + tau_prev x_prev - a s) / tau_j, where a L a = tau_prev
+    # (A_prev + a) makes x_1 = y_1
+    x_prev = np.array([1.0])
+    for row, nxt in zip(rows, rows[1:]):
+        x = (row.mu * row.a * row.y / 2.0 + row.tau_prev * x_prev - row.a * row.s) / row.tau
+        np.testing.assert_allclose(x_from_next(row, nxt), x, rtol=1e-12)
+        x_prev = x
+    np.testing.assert_allclose(x_from_next(rows[0], rows[1]), [0.75], rtol=1e-12)
 
 
 def test_momentum_fixed_point_gives_zero_residual():
-    prob = _scalar_quadratic()
-    oracle = CountingOracle(prob)
-    state = SfistaState(
-        cycle=1, j=1, A=0.0, tau=1.0, L=2.0, mu=1.0,
-        x=np.array([0.0]), y=np.array([0.0]), xi=np.array([0.0]),
-        x0_cycle=np.array([0.0]), phi_xi=0.0,
-    )
-    state.x_tilde = np.array([0.0])
-    state.grad_x_tilde = np.array([0.0])
-    state.a = 0.5
-    state.f_y = 0.0
-    momentum_update(state, np.array([0.0]), oracle)
-    np.testing.assert_array_equal(state.s, [0.0])
-    np.testing.assert_array_equal(state.v, [0.0])
+    out = _steps(_scalar_quadratic(), [0.0], 1, L=2.0)
+    np.testing.assert_array_equal(out.trace[0].s, [0.0])
+    np.testing.assert_array_equal(out.v, [0.0])
 
 
 # ---------------------------------------------------------------------------
 # restart predicate
 
 
-def _restart_state(xi, x0, y, x_tilde, A=1.0, L=1.0, xi_moved=True):
-    state = SfistaState(
-        cycle=1, j=2, A=A, tau=1.0, L=L, mu=1.0,
-        x=np.asarray(x0, float), y=np.asarray(y, float),
-        xi=np.asarray(xi, float), x0_cycle=np.asarray(x0, float),
-        phi_xi=0.0, xi_moved=xi_moved,
-    )
-    state.x_tilde = np.asarray(x_tilde, float)
-    return state
+def _fires(xi, x0, y, x_tilde, A=1.0, L=1.0):
+    return restart_fires(*(np.asarray(p, float) for p in (xi, x0, y, x_tilde)), A, L)
 
 
 def test_restart_fires_when_xi_at_start():
-    state = _restart_state(xi=[0.0], x0=[0.0], y=[1.0], x_tilde=[0.0],
-                           A=10.0, L=10.0)
-    assert restart_check(state, SfistaConfig()) == "restart"
+    assert _fires(xi=[0.0], x0=[0.0], y=[1.0], x_tilde=[0.0], A=10.0, L=10.0)
 
 
 def test_restart_skipped_for_zero_step():
-    state = _restart_state(xi=[0.0], x0=[0.0], y=[1.0], x_tilde=[1.0])
-    assert restart_check(state, SfistaConfig()) == "continue"
+    assert not _fires(xi=[0.0], x0=[0.0], y=[1.0], x_tilde=[1.0])
 
 
 def test_restart_continue_when_xi_escapes():
-    state = _restart_state(xi=[5.0], x0=[0.0], y=[1.0], x_tilde=[0.9])
-    assert restart_check(state, SfistaConfig()) == "continue"
+    assert not _fires(xi=[5.0], x0=[0.0], y=[1.0], x_tilde=[0.9])
 
 
 def test_restart_chi_scales_threshold():
-    # borderline case flips with chi
-    state = _restart_state(xi=[0.1], x0=[0.0], y=[1.0], x_tilde=[0.0],
-                           A=100.0, L=100.0)
-    assert restart_check(state, SfistaConfig(chi=0.5)) == "restart"
-    assert restart_check(state, SfistaConfig(chi=1e-7)) == "continue"
+    # ||xi - x0||^2 = 0.01 against chi A L = 1e-3 A L: the borderline flips
+    # with A L
+    assert _fires(xi=[0.1], x0=[0.0], y=[1.0], x_tilde=[0.0], A=100.0, L=100.0)
+    assert not _fires(xi=[0.1], x0=[0.0], y=[1.0], x_tilde=[0.0], A=1.0, L=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +181,13 @@ def _bootstrapped_mu(prob, z0, **kw):
 
 def test_bootstrap_quadratic():
     # in 1-D, f(y) - ell_f(y; x) = c (y - x)^2 / 2 whatever the step
-    mu = _bootstrapped_mu(_scalar_quadratic(c=1.0), [1.0], chi=0.001)
+    mu = _bootstrapped_mu(_scalar_quadratic(c=1.0), [1.0])
     assert mu == pytest.approx(2.0 / 0.999)
 
 
 def test_bootstrap_scales_with_curvature():
     c = 7.5
-    mu = _bootstrapped_mu(_scalar_quadratic(c=c), [1.0], chi=0.001)
+    mu = _bootstrapped_mu(_scalar_quadratic(c=c), [1.0])
     assert mu == pytest.approx(2.0 * c / 0.999)
 
 
@@ -314,6 +239,22 @@ def test_solve_iter_cap():
     )
     assert out.status == "iter_cap"
     assert out.total_iters == 5
+
+
+def test_iter_cap_right_after_a_restart():
+    # the first restart fires at iteration 32: the output is the last prox
+    # output and its certificate, not the next cycle's start point
+    prob, z0 = make_instance(InstanceSpec("lasso", 60, 120, 42, C=5.0))
+    cfg = SfistaConfig(eps_hat=1e-8, residual_mode="relative", mu_shrink=0.1,
+                       max_total_iters=32, trace=True)
+    out = solve_sfista(prob, cfg, z0)
+    assert out.status == "iter_cap" and out.cycles == 2
+    assert out.trace[-1].restarted and out.trace[-1].j == 32
+    np.testing.assert_array_equal(out.y, out.trace[-1].y)
+    denom = 1.0 + float(np.linalg.norm(prob.f_grad(z0)))
+    assert math.isfinite(out.residual) and out.residual > 0.0
+    assert out.residual == pytest.approx(float(np.linalg.norm(out.v)) / denom, rel=1e-12)
+    assert out.trace[-1].v_norm == float(np.linalg.norm(out.v))
 
 
 def test_cycle_bound_with_fixed_mu0():
