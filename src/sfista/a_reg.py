@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     CompositeProblem,
     OracleCounters,
+    QuadraticFunction,
     SmoothFunction,
     SolveOutput,
     check_start,
@@ -91,26 +92,27 @@ def build_subproblem(
 ) -> CompositeProblem:
     """Strongly convex subproblem: smooth part plus (delta/2)||z - theta||^2.
 
-    Its image pairs z - theta with the base problem's image (`smooth_of`),
-    so f and grad f share one image whenever the base problem's do.
+    Its image is z - theta followed by the base problem's image
+    (`smooth_of`), one flat array that the solvers carry like any other.
+    It is a QuadraticFunction exactly when the base f is one.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     theta = np.asarray(theta, dtype=float)
     base = smooth_of(problem)
+    n = problem.dim
 
     def image(z):
-        return z - theta, base.image(z)
+        return np.concatenate((z - theta, base.image(z)))
 
     def value(k):
-        d, base_image = k
-        return base.value(base_image) + 0.5 * delta * float(d @ d)
+        return base.value(k[n:]) + 0.5 * delta * float(k[:n] @ k[:n])
 
     def grad(k):
-        d, base_image = k
-        return np.asarray(base.grad(base_image), dtype=float) + delta * d
+        return np.asarray(base.grad(k[n:]), dtype=float) + delta * k[:n]
 
-    smooth = SmoothFunction(image, value, grad)
+    kind = QuadraticFunction if isinstance(base, QuadraticFunction) else SmoothFunction
+    smooth = kind(image, value, grad)
     return CompositeProblem(
         dim=problem.dim,
         f_eval=smooth.f_eval,

@@ -64,10 +64,14 @@ def gradient_restart_fires(y_prev: np.ndarray, y: np.ndarray, x_tilde: np.ndarra
     return float((y_prev - y) @ (y - x_tilde)) > 0.0
 
 
+# fista-r restarts when phi rises by more than this many ulps of phi: a rise
+# of 1-3 ulps is roundoff near the optimum, not a lost descent
+_PHI_RISE_ULPS = 4
+
 # (step, restart, momentum) of each method.  step: None for the doubling
 # line search from L0, else the fixed step gamma times known_L.  restart:
-# None, "value" (phi(y) increased) or "gradient" (O'Donoghue and Candes,
-# 2015).  momentum: the (p, q, r) of t_next = (p + sqrt(q + r t^2)) / 2, or
+# None, "value" (phi(y) rose past _PHI_RISE_ULPS) or "gradient" (O'Donoghue
+# and Candes, 2015).  momentum: the (p, q, r) of t_next = (p + sqrt(q + r t^2)) / 2, or
 # None for theta = 1 (Greedy FISTA, Liang, Luo and Schoenlieb, 2022).
 _RULES = {
     "fista-bt": (None, None, (1.0, 1.0, 4.0)),
@@ -132,7 +136,8 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
 
         if restart == "value":
             phi_y = f_y + oracle.h(y)
-            restarted, phi_prev = phi_y > phi_prev, phi_y
+            restarted = phi_y > phi_prev + _PHI_RISE_ULPS * math.ulp(phi_prev)
+            phi_prev = phi_y
         else:
             restarted = restart == "gradient" and gradient_restart_fires(Y_prev[pt], y, x_tilde)
         if restarted:

@@ -73,6 +73,8 @@ def compute_atr(
     taking ratios; every time is floored at one timer tick so the ratio is
     always finite.
     """
+    if not time_limit > 0:  # written so that NaN fails too
+        raise ValueError(f"time_limit must be positive, got {time_limit}")
     if len(best_other_times) == 0 or len(rpf_times) == 0:
         raise ValueError("ATR needs at least one paired run")
     if len(best_other_times) != len(rpf_times):

@@ -44,12 +44,12 @@ class SmoothFunction:
     image(z) holds what f and grad f at z have in common -- for f = g(Kz),
     the image Kz -- so f and grad f at one point share one image (the
     smooth-function form of TFOCS; Becker, Candes and Grant, 2011).  The
-    contract is that image is affine in z, entry by entry if it is a tuple
-    of arrays: image(w z1 + (1 - w) z2) = w image(z1) + (1 - w) image(z2).
-    Bind a CompositeProblem's f_eval and f_grad to this object's `f_eval`
-    and `f_grad`: while both stay bound to the same SmoothFunction,
-    CountingOracle computes the image once per point, or carries it (see
-    QuadraticFunction).
+    contract is that image returns one flat ndarray and is affine in z:
+    image(w z1 + (1 - w) z2) = w image(z1) + (1 - w) image(z2).  Bind a
+    CompositeProblem's f_eval and f_grad to this object's `f_eval` and
+    `f_grad`: while both stay bound to the same SmoothFunction,
+    CountingOracle carries the image through the solvers' affine
+    combinations, so only prox outputs get a fresh one.
     """
 
     __slots__ = ("image", "value", "grad")
@@ -70,14 +70,12 @@ class SmoothFunction:
 
 
 class QuadraticFunction(SmoothFunction):
-    """A SmoothFunction of a quadratic f: grad(image(z)) is affine in z too,
-    and image(z) is one flat ndarray.
+    """A SmoothFunction of a quadratic f: grad(image(z)) is affine in z too.
 
-    The solvers carry the image and the gradient of a QuadraticFunction
-    through their affine combinations (x_tilde, the momentum point x), the
-    way TFOCS caches linear-operator images, so f and grad f there cost no
-    operator product; only prox outputs get a fresh image.  Any other
-    SmoothFunction has its image computed afresh at every point evaluated.
+    The solvers carry its gradient along with its image through their affine
+    combinations (x_tilde, the momentum point x), the way TFOCS caches
+    linear-operator images, so grad f there costs no operator product
+    either; only prox outputs get a fresh image and gradient.
     """
 
     __slots__ = ()
@@ -179,15 +177,16 @@ class CountingOracle:
     shareable across concurrent solves.  grad and prox outputs whose shape is
     not (dim,) raise a ValueError naming the oracle.
 
-    The solvers hold each point z as a lifted point P = lift(z).  For a
-    QuadraticFunction P is z followed by its image and grad f(z); both are
+    The solvers hold each point z as a lifted point P = lift(z): z followed
+    by its image, and for a QuadraticFunction also by grad f(z).  Both are
     affine in z, so an affine combination of lifted points is the lifted
     point of the same combination of points, and one numpy expression moves
-    a point with its image and gradient.  For any other f, P is z itself,
-    and f and grad at one point share one image through a one-entry memo.
-    For the identity image (plain-callable or replaced oracles) f and grad
-    are the problem's own oracles, called at z itself.  f and grad count one
-    evaluation each, whether the image was computed, reused or carried.
+    a point with its image and gradient.  f is `value` of the carried image;
+    grad is the carried gradient of a quadratic, else `grad` of the carried
+    image.  For the identity image (plain-callable or replaced oracles) P is
+    z twice over, so f and grad are the problem's own oracles, called at a
+    copy of z with the same bytes.  f and grad count one evaluation each,
+    whether the image was computed or carried.
 
     prox calls the problem's h_prox, or, when h_prox is the bound `prox` of
     a ConvexSet, that set's `warm_prox()`: one per solve, so a projection
@@ -205,34 +204,21 @@ class CountingOracle:
         self._h_prox = h_prox
         smooth = smooth_of(problem)
         image, value, grad, n = smooth.image, smooth.value, smooth.grad, problem.dim
-        # lift(z) is the lifted point of z, and P[pt] the point of P
+        self.pt = slice(n)  # P[pt] is the point of the lifted point P
         if isinstance(smooth, QuadraticFunction):
-            self.pt = slice(n)
-
             def lift(z):
                 k = image(z)
                 return np.concatenate((z, k, grad(k)))
 
-            self.lift = lift
             self._value_at = lambda P: value(P[n:-n])
             self._grad_at = lambda P: P[-n:]
         else:
-            self.pt = slice(None)
-            self.lift = _identity
-            last = [None, None]  # the last point evaluated and its image
-            # the solvers never write into a point, so identity marks it
+            def lift(z):
+                return np.concatenate((z, image(z)))
 
-            def value_at(z):
-                if z is not last[0]:
-                    last[:] = z, image(z)
-                return value(last[1])
-
-            def grad_at(z):
-                if z is not last[0]:
-                    last[:] = z, image(z)
-                return grad(last[1])
-
-            self._value_at, self._grad_at = value_at, grad_at
+            self._value_at = lambda P: value(P[n:])
+            self._grad_at = lambda P: grad(P[n:])
+        self.lift = lift
 
     def f(self, P: np.ndarray) -> float:
         """f at the lifted point P."""

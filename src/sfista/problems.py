@@ -217,19 +217,16 @@ def _gen_qp(
         tau1, tau2, mu_actual, L_actual = cal
 
         def image(z, M1=M1, Cm=Cm, d=d):
-            return M1 @ z, Cm @ z - d
+            return np.concatenate((M1 @ z, Cm @ z - d))
 
         def value(r, tau1=tau1, tau2=tau2):
-            r1, r2 = r
+            r1, r2 = r[:n], r[n:]
             return 0.5 * tau1 * float(r1 @ r1) + 0.5 * tau2 * float(r2 @ r2)
 
         def grad(r, M1t=M1.T, Cmt=Cm.T, tau1=tau1, tau2=tau2):
-            r1, r2 = r
-            return tau1 * (M1t @ r1) + tau2 * (Cmt @ r2)
+            return tau1 * (M1t @ r[:n]) + tau2 * (Cmt @ r[n:])
 
-        # quadratic, but not a QuadraticFunction: carrying its gradient
-        # changes roundoff-decided iteration counts (README, "Smooth oracle")
-        smooth = SmoothFunction(image, value, grad)
+        smooth = QuadraticFunction(image, value, grad)
         problem = CompositeProblem(
             dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
             h_prox=constraint.prox, h_eval=constraint.indicator,

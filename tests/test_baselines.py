@@ -99,6 +99,31 @@ def test_restart_fires_on_oscillating_quadratic():
     assert out.cycles > 1  # at least one restart fired
 
 
+@pytest.mark.parametrize("ulps,cycles", [(1, 1), (4, 1), (5, 10)])
+def test_value_restart_ignores_a_rise_of_a_few_ulps(ulps, cycles):
+    # phi rises by `ulps` ulps at every prox step: f is 1 + k ulps(1) after
+    # the k-th prox call, and grad f = 0 with a prox that steps by 1, so the
+    # line search accepts each first trial and the residual stays L.  A rise
+    # of up to 4 ulps is roundoff and keeps the momentum; a larger one
+    # restarts at every iteration after the first.
+    calls = [0]
+
+    def prox(p, lam):
+        calls[0] += 1
+        return p + 1.0
+
+    prob = CompositeProblem(
+        dim=1,
+        f_eval=lambda z: 1.0 + ulps * calls[0] * np.finfo(float).eps,
+        f_grad=lambda z: np.zeros(1),
+        h_prox=prox,
+        h_eval=lambda z: 0.0,
+    )
+    out = solve_fista_restart(prob, BaselineConfig(max_total_iters=10), np.zeros(1))
+    assert (out.status, out.total_iters, out.counters.prox_evals) == ("iter_cap", 10, 10)
+    assert out.cycles == cycles
+
+
 def test_fixed_step_needs_known_L():
     prob = CompositeProblem(
         dim=1, f_eval=lambda z: 0.0, f_grad=lambda z: np.zeros(1),

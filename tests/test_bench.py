@@ -268,28 +268,28 @@ def test_desk_suite_families():
 PINNED_COUNTS = {
     ("logistic", "rpf-sfista"): (186, 2, 397, 384, 198),
     ("logistic", "fista-bt"): (734, 1, 1471, 1468, 737),
-    ("logistic", "fista-r"): (198, 19, 399, 396, 201),
+    ("logistic", "fista-r"): (152, 5, 307, 304, 155),
     ("logistic", "rada"): (226, 4, 0, 452, 226),
     ("logistic", "greedy"): (130, 12, 0, 260, 130),
-    ("logistic", "a-reg"): (888, 11, 1830, 1799, 911),
+    ("logistic", "a-reg"): (1016, 24, 2086, 2055, 1039),
     ("lasso", "rpf-sfista"): (310, 3, 621, 620, 310),
     ("lasso", "fista-bt"): (498, 1, 996, 996, 498),
     ("lasso", "fista-r"): (154, 5, 308, 308, 154),
     ("lasso", "rada"): (109, 4, 0, 218, 109),
     ("lasso", "greedy"): (78, 13, 0, 156, 78),
-    ("lasso", "a-reg"): (4488, 22, 8987, 8976, 4488),
+    ("lasso", "a-reg"): (4485, 22, 8981, 8970, 4485),
     ("qp_simplex", "rpf-sfista"): (109, 2, 219, 218, 109),
     ("qp_simplex", "fista-bt"): (243, 1, 486, 486, 243),
     ("qp_simplex", "fista-r"): (82, 4, 164, 164, 82),
     ("qp_simplex", "rada"): (252, 4, 0, 504, 252),
     ("qp_simplex", "greedy"): (207, 13, 0, 414, 207),
-    ("qp_simplex", "a-reg"): (723, 12, 1455, 1446, 723),
+    ("qp_simplex", "a-reg"): (725, 12, 1459, 1450, 725),
     ("qp_box", "rpf-sfista"): (6484, 5, 12969, 12968, 6484),
     ("qp_box", "fista-bt"): (30971, 1, 61942, 61942, 30971),
     ("qp_box", "fista-r"): (3267, 4, 6534, 6534, 3267),
     ("qp_box", "rada"): (10920, 3, 0, 21840, 10920),
     ("qp_box", "greedy"): (8422, 22, 0, 16844, 8422),
-    ("qp_box", "a-reg"): (43049, 42, 86117, 86098, 43049),
+    ("qp_box", "a-reg"): (43054, 42, 86127, 86108, 43054),
 }
 
 
@@ -435,6 +435,12 @@ def test_cli_library_errors_exit_as_usage_errors(tmp_path, monkeypatch, capsys):
     (tmp_path / "r.csv").write_text(emit_table([_record(method="greedy")], "csv"))
     err = _usage_error(capsys, bench_main, ["atr", "--in", "r.csv"])
     assert "error: ATR needs at least one paired run" in err
+    # a time limit that is not positive would clamp every time to a tick
+    (tmp_path / "p.csv").write_text(emit_table([_record(), _record(method="greedy")], "csv"))
+    for limit in ("-1", "0", "nan"):
+        err = _usage_error(capsys, bench_main, ["atr", "--in", "p.csv", "--time-limit", limit])
+        assert f"error: time_limit must be positive, got {float(limit)}" in err
+        assert "Traceback" not in err and err.count("error:") == 1
     # a NaN tolerance stops both commands before any solve
     np.savetxt("A.csv", np.eye(3), delimiter=",")
     for main, argv in [(solve_main, ["--problem", "A.csv"]),

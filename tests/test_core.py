@@ -67,9 +67,10 @@ def test_counting_oracle_counts():
     prob = _quadratic_problem(2)
     oracle = CountingOracle(prob)
     z = np.ones(2)
-    oracle.f(z)
-    oracle.f(z)
-    oracle.grad(z)
+    P = oracle.lift(z)
+    oracle.f(P)
+    oracle.f(P)
+    oracle.grad(P)
     oracle.prox(z, 0.5)
     oracle.prox(z, 0.5)
     oracle.prox(z, 0.5)
@@ -198,20 +199,22 @@ def test_nan_oracle_fails_fast_in_fixed_step(solve, field_name, name, k):
 def test_nan_grad_at_line_search_outputs_fails_fast(solve, k):
     # grad f(y) at an accepted line-search output y enters only the residual
     # v, never a line-search test, so the residual is where the NaN shows
+    # grad receives a copy of y (the image half of its lifted point), so prox
+    # outputs are marked by their bytes
     base = _ill_conditioned_box_qp()
-    outputs = {}  # id -> prox output, held so that ids stay unique
+    outputs = set()
     counts = {"prox": 0}
 
     def prox(p, lam):
         counts["prox"] += 1
         y = base.h_prox(p, lam)
         if counts["prox"] > k:
-            outputs[id(y)] = y
+            outputs.add(y.tobytes())
         return y
 
     def grad(z):
         g = base.f_grad(z)
-        if id(z) in outputs:
+        if z.tobytes() in outputs:
             counts.setdefault("onset", counts["prox"])
             return g * math.nan
         return g

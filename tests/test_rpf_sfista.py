@@ -101,13 +101,13 @@ def test_line_search_overflow_raises():
 
 
 def test_step_weight_overflow_raises():
-    # the first inner cycle of A-REG at eps 1e-13 on logistic-m120-n80-s45
-    # grows A and tau until 4 tau A L overflows; an inf step weight would make
-    # x_tilde NaN
-    prob, z0 = make_instance(InstanceSpec("logistic", 120, 80, 45))
+    # the first cycle of an inner solve of A-REG at eps 1e-14 on
+    # logistic-m80-n50-s43 grows A and tau until 4 tau A L overflows; an inf
+    # step weight would make x_tilde NaN
+    prob, z0 = make_instance(InstanceSpec("logistic", 80, 50, 43))
     with pytest.raises(RuntimeError, match=r"RPF-SFISTA: the step weight overflowed in cycle 1 "
-                       r"at j = 3158 \(A = 5.31e\+153, tau = 8.29e\+152, L = 12.5\)"):
-        solve_areg(prob, ARegConfig(eps=1e-13), z0)
+                       r"at j = 2502 \(A = 3.19e\+153, tau = 9.97e\+152, L = 15.6\)"):
+        solve_areg(prob, ARegConfig(eps=1e-14), z0)
 
 
 def test_momentum_update_worked_example():
