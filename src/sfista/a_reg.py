@@ -23,6 +23,7 @@ from .core import (
     SmoothFunction,
     SolveOutput,
     check_start,
+    norm,
     smooth_of,
 )
 from .rpf_sfista import SfistaConfig, _clamp_m_lower, solve_sfista
@@ -174,7 +175,7 @@ def solve_areg(
         w = out.y
         r = outer_residual(out.v, delta, theta, w)
         theta = out.xi
-        trace.append(ARegTraceRow(delta=delta, r_norm=float(np.linalg.norm(r))))
+        trace.append(ARegTraceRow(delta=delta, r_norm=norm(r)))
 
         if out.status != "converged":
             status = out.status

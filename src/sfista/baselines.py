@@ -23,6 +23,7 @@ from .core import (
     check_start,
     line_search,
     nan_message,
+    norm,
     residual_denominator,
 )
 
@@ -125,7 +126,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
             denom = residual_denominator("relative", g_xt)
         g_y = oracle.grad(Y)
         v = g_y - g_xt + s
-        residual = float(np.linalg.norm(v)) / denom
+        residual = norm(v) / denom
         if math.isnan(residual):  # grad f(y) is not part of a line-search test
             raise RuntimeError(nan_message(
                 method, "the residual", (("grad", g_xt), ("prox", y), ("grad", g_y)),

@@ -36,6 +36,14 @@ _LS_SLACK = 1e-12
 # test and bootstrap mu use the same chi.
 _CHI = 0.001
 _L_OVERFLOW = 1e30
+_FLOAT = np.dtype(float)
+
+
+def norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) of a 1-D float vector, bit for bit: its sqrt(x.dot(x))
+    of x.ravel("K") without its Python-level wrapper (x @ x differs on strided views)."""
+    x = x.ravel("K")
+    return math.sqrt(x.dot(x))
 
 
 class SmoothFunction:
@@ -206,9 +214,10 @@ class CountingOracle:
         image, value, grad, n = smooth.image, smooth.value, smooth.grad, problem.dim
         self.pt = slice(n)  # P[pt] is the point of the lifted point P
         if isinstance(smooth, QuadraticFunction):
+            # the gradient's shape is checked where the oracle runs
             def lift(z):
                 k = image(z)
-                return np.concatenate((z, k, grad(k)))
+                return np.concatenate((z, k, self._vector("grad", grad(k))))
 
             self._value_at = lambda P: value(P[n:-n])
             self._grad_at = lambda P: P[-n:]
@@ -217,7 +226,7 @@ class CountingOracle:
                 return np.concatenate((z, image(z)))
 
             self._value_at = lambda P: value(P[n:])
-            self._grad_at = lambda P: grad(P[n:])
+            self._grad_at = lambda P: self._vector("grad", grad(P[n:]))
         self.lift = lift
 
     def f(self, P: np.ndarray) -> float:
@@ -228,14 +237,15 @@ class CountingOracle:
     def grad(self, P: np.ndarray) -> np.ndarray:
         """grad f at the lifted point P."""
         self.counters.grad_evals += 1
-        return self._vector("grad", self._grad_at(P))
+        return self._grad_at(P)
 
     def prox(self, p: np.ndarray, lam: float) -> np.ndarray:
         self.counters.prox_evals += 1
         return self._vector("prox", self._h_prox(p, lam))
 
     def _vector(self, name: str, out) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
+        if type(out) is not np.ndarray or out.dtype is not _FLOAT:
+            out = np.asarray(out, dtype=float)
         if out.shape != self._shape:
             raise ValueError(
                 f"the {name} oracle returned shape {out.shape}, expected {self._shape}"
@@ -290,7 +300,7 @@ def residual_denominator(mode: str, grad_f_z0: np.ndarray) -> float:
     grad f(z0) is evaluated once, counted and shape-checked like every other
     gradient.
     """
-    return 1.0 + float(np.linalg.norm(grad_f_z0)) if mode == "relative" else 1.0
+    return 1.0 + norm(grad_f_z0) if mode == "relative" else 1.0
 
 
 def line_search(

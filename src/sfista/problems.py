@@ -91,7 +91,7 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
 
     smooth = SmoothFunction(
         image=lambda z: D @ z,
-        value=lambda t: float(np.logaddexp(0.0, t).sum()),
+        value=lambda t: float(np.add.reduce(np.logaddexp(0.0, t))),
         grad=lambda t: D.T @ (1.0 / (1.0 + np.exp(-t))),
     )
     problem = CompositeProblem(

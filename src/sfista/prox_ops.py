@@ -48,14 +48,17 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
         raise ValueError("cannot project an empty vector")
     if radius <= 0:
         raise ValueError("simplex radius must be positive")
-    u = np.sort(v)[::-1]
+    # np.sort, np.cumsum and np.flatnonzero's own calls, without their wrappers
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
     # NaN sorts last, so first after the reversal, and an infinity sorts to
     # an end: two tests find either before the sums would warn on them
     if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         raise ValueError("cannot project a vector with NaN or infinite entries")
-    css = np.cumsum(u) - radius
+    css = np.add.accumulate(u) - radius
     ks = np.arange(1, v.size + 1)
-    positive = np.flatnonzero(u - css / ks > 0)
+    positive = (u - css / ks > 0).nonzero()[0]
     if positive.size == 0:
         # k = 1 always qualifies unless v is so large that u_1 - (u_1 -
         # radius) rounds to 0; shifting v by a constant does not move the
@@ -99,7 +102,7 @@ class Simplex(ConvexSet):
 
     def contains(self, z: np.ndarray) -> bool:
         z = np.asarray(z, dtype=float)
-        return bool(np.all(z >= -_FEAS_TOL) and abs(z.sum() - 1.0) <= _FEAS_TOL * z.size)
+        return bool((z >= -_FEAS_TOL).all() and abs(np.add.reduce(z) - 1.0) <= _FEAS_TOL * z.size)
 
 
 class L1Ball(ConvexSet):
@@ -115,12 +118,13 @@ class L1Ball(ConvexSet):
         """Interior points are returned unchanged; otherwise reduce to a
         simplex projection of |v| with the ball's radius and restore signs."""
         v = np.asarray(v, dtype=float)
-        if np.abs(v).sum() <= self.radius:
+        a = np.abs(v)
+        if np.add.reduce(a) <= self.radius:
             return v.copy()
-        return np.sign(v) * project_simplex(np.abs(v), radius=self.radius)
+        return np.sign(v) * project_simplex(a, radius=self.radius)
 
     def contains(self, z: np.ndarray) -> bool:
-        return bool(np.abs(np.asarray(z, dtype=float)).sum() <= self._limit)
+        return bool(np.add.reduce(np.abs(np.asarray(z, dtype=float))) <= self._limit)
 
 
 class Box(ConvexSet):
@@ -266,4 +270,4 @@ class BoxHyperplane(ConvexSet):
 
     def contains(self, z: np.ndarray) -> bool:
         z = np.asarray(z, dtype=float)
-        return bool(np.all(np.abs(z) <= self._r_tol) and abs(self.a @ z - self.b) <= self._eq_tol)
+        return bool((np.abs(z) <= self._r_tol).all() and abs(self.a @ z - self.b) <= self._eq_tol)

@@ -25,6 +25,7 @@ from .core import (
     check_start,
     line_search,
     nan_message,
+    norm,
     residual_denominator,
 )
 
@@ -119,7 +120,7 @@ def _bootstrap_mu(
     """
     nd2 = float(d @ d)
     gap = f_y - ell_y
-    if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))) or gap <= 0.0:
+    if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)) or gap <= 0.0:
         return fallback
     return 4.0 * gap / ((1.0 - _CHI) * nd2)
 
@@ -132,10 +133,10 @@ def restart_fires(
     A near-stationary y (||y - x_tilde|| at roundoff scale) makes the
     right-hand side vanish, so a restart would be spurious: it never fires.
     """
-    nd = float(np.linalg.norm(y - x_tilde))
-    if nd <= _STATIONARY_RTOL * (1.0 + float(np.linalg.norm(x_tilde))):
+    nd = norm(y - x_tilde)
+    if nd <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)):
         return False
-    return float(np.linalg.norm(xi - x0)) ** 2 < _CHI * A * L * nd * nd
+    return norm(xi - x0) ** 2 < _CHI * A * L * nd * nd
 
 
 def _clamp_m_lower(prev: float, floor: float) -> float:
@@ -246,7 +247,7 @@ def solve_sfista(
         if trace is not None:
             trace.append(SfistaTraceRow(
                 cycle=cycle, j=j, L=L, A=A, tau=tau, a=a, tau_prev=tau_prev,
-                v_norm=float(np.linalg.norm(v)), phi_xi=phi_xi, restarted=restart,
+                v_norm=norm(v), phi_xi=phi_xi, restarted=restart,
                 y=y.copy(), s=s.copy(), mu=mu, gamma_y=phi_y + 2.0 * (ell_y - f_y),
             ))
         if restart:
@@ -257,7 +258,7 @@ def solve_sfista(
             X = Y_prev = X0 = XI
             continue
 
-        residual = float(np.linalg.norm(v)) / denom
+        residual = norm(v) / denom
         if math.isnan(residual):
             # grad f(y) is not part of the line-search test; with x_tilde and
             # y finite, v is NaN only through it
@@ -275,6 +276,6 @@ def solve_sfista(
     return SolveOutput(
         y=y, v=v, xi=y if XI is Y else XI[pt].copy(), L_final=L,
         cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,
-        residual=math.inf if denom is None else float(np.linalg.norm(v)) / denom,
+        residual=math.inf if denom is None else norm(v) / denom,
         trace=trace, runtime_s=time.monotonic() - start,
     )

@@ -2,6 +2,7 @@
 the solvers' NaN handling, and the oracle's output-shape check."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,11 @@ from sfista.core import (
     CompositeProblem,
     CountingOracle,
     OracleCounters,
+    QuadraticFunction,
+    SmoothFunction,
     eval_phi,
     grad_fd_check,
+    norm,
     residual_denominator,
 )
 from sfista.rpf_sfista import SfistaConfig, solve_sfista
@@ -237,8 +241,35 @@ def test_nan_grad_at_line_search_outputs_fails_fast(solve, k):
     ("h_prox", "prox", lambda out: out[:, None], r"\(20, 1\)"),
 ], ids=["grad-scalar", "grad-n1", "grad-n+1", "prox-n1"])
 def test_wrong_output_shape_raises(solve, field_name, name, reshape, shown):
+    # f as plain callables, and bound to a SmoothFunction and to a
+    # QuadraticFunction, whose gradient CountingOracle.lift carries
     base = replace(_ill_conditioned_box_qp(), known_L=10.0)
     good = getattr(base, field_name)
-    problem = replace(base, **{field_name: lambda *args: reshape(good(*args))})
-    with pytest.raises(ValueError, match=f"the {name} oracle returned shape {shown}"):
-        solve(problem, np.zeros(problem.dim))
+
+    def bad(*args):
+        return reshape(good(*args))
+
+    problems = [replace(base, **{field_name: bad})]
+    for kind in (SmoothFunction, QuadraticFunction):
+        smooth = kind(lambda z: z, base.f_eval, bad if field_name == "f_grad" else base.f_grad)
+        problem = replace(base, f_eval=smooth.f_eval, f_grad=smooth.f_grad)
+        problems.append(problem if field_name == "f_grad" else replace(problem, h_prox=bad))
+    for problem in problems:
+        with pytest.raises(ValueError, match=f"the {name} oracle returned shape {shown}"):
+            solve(problem, np.zeros(problem.dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(1e-300, 1e300),
+       st.lists(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200]), max_size=3),
+       st.sampled_from([1, 2, 3, -1, -2]))
+def test_norm_is_numpys_norm_bit_for_bit(n, seed, scale, specials, step):
+    # contiguous arrays and strided views, where BLAS sums in another order
+    # once n passes its unrolled kernel's width; struct.pack compares -0.0
+    # and NaN by their bits.  Huge entries overflow x.dot(x) in both alike
+    base = np.random.default_rng(seed).standard_normal(n) * scale
+    base[:len(specials)] = specials[:n]
+    for x in (base, base[::step], np.zeros(n)):
+        with np.errstate(all="ignore"):
+            got, want = norm(x), float(np.linalg.norm(x))
+        assert struct.pack("<d", got) == struct.pack("<d", want)

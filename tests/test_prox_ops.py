@@ -7,12 +7,13 @@ independent of the implementations under test.
 """
 
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sfista.bench import METHODS
 from sfista.problems import gen_qp_box
@@ -461,3 +462,86 @@ def test_spec_validation():
             BoxHyperplane(np.array([1.0, bad, 1.0]), 0.0, 1.0)
     # a box keeps infinite bounds
     np.testing.assert_array_equal(Box(-np.inf, np.inf).project(np.array([3.0])), [3.0])
+
+
+# ---------------------------------------------------------------------------
+# same bytes as the expressions with numpy's Python-level wrappers
+#
+# project_simplex and L1Ball.project call np.add.accumulate, ndarray.sort,
+# ndarray.nonzero and np.add.reduce directly.  These references are the
+# expressions they replaced (np.sort, np.cumsum, np.flatnonzero,
+# ndarray.sum); a projection must return their bytes, or raise where they
+# raise.
+
+
+def _project_simplex_reference(v, radius=1.0):
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        raise ValueError("cannot project a vector with NaN or infinite entries")
+    css = np.cumsum(u) - radius
+    ks = np.arange(1, v.size + 1)
+    positive = np.flatnonzero(u - css / ks > 0)
+    if positive.size == 0:
+        with np.errstate(over="ignore"):
+            shifted = np.maximum(v - v.max(), -2.0 * radius)
+        return _project_simplex_reference(shifted, radius)
+    rho = int(positive[-1])
+    return np.maximum(v - css[rho] / (rho + 1), 0.0)
+
+
+def _l1_project_reference(v, radius):
+    v = np.asarray(v, dtype=float)
+    if np.abs(v).sum() <= radius:
+        return v.copy()
+    return np.sign(v) * _project_simplex_reference(np.abs(v), radius)
+
+
+def _outcome(project, v):
+    """The projection's bytes, or the type of the error it raised.  Entries
+    near 1e308 overflow the running sums in both versions alike."""
+    with np.errstate(all="ignore"):
+        try:
+            return project(v).tobytes()
+        except ValueError as exc:
+            return type(exc)
+
+
+_BIG = 1.7976931348623157e308
+# ties (a few repeated values), huge entries that send project_simplex to its
+# shift fallback, and entries near +-1e308
+_entry = (st.floats(-10, 10, allow_nan=False)
+          | st.sampled_from([0.0, -0.0, 0.25, 1.0, -1.0, 3.0])
+          | st.floats(1e16, 1e30) | st.floats(-1e30, -1e16)
+          | st.floats(1e300, _BIG) | st.floats(-_BIG, -1e300))
+_byte_vec = (st.lists(_entry, min_size=1, max_size=12)
+             | st.lists(st.floats(-10, -1e-6), min_size=1, max_size=12))  # all negative
+
+
+@settings(max_examples=400, deadline=None)
+@given(_byte_vec, st.floats(1e-3, 1e3))
+@example([0.5], 1.0)  # n = 1
+@example([0.25, 0.25, 0.25, 0.25], 1.0)  # ties
+@example([-3.0, -1.0, -2.0], 2.0)  # all negative
+@example([1e20, 0.0, 0.0], 1.0)  # shift fallback
+@example([1e308, 0.0, -1e308], 1.0)  # the shift overflows to -inf
+@example([1e308, 1e308], 1.0)  # the running sum overflows
+def test_simplex_projection_keeps_the_wrapper_bytes(vals, radius):
+    v = np.array(vals)
+    assert (_outcome(lambda v: project_simplex(v, radius), v)
+            == _outcome(lambda v: _project_simplex_reference(v, radius), v))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_byte_vec, st.floats(1e-3, 1e3), st.sampled_from([1e-3, 0.1, 1.0]))
+@example([0.5], 1.0, 1.0)  # n = 1, interior
+@example([0.1, -0.2, 0.3], 1.0, 1.0)  # interior
+@example([1.0, 1.0, -1.0, -1.0], 1.0, 1.0)  # ties of |v|
+@example([-3.0, -1.0, -2.0], 2.0, 1.0)  # all negative
+@example([1e20, 0.0, 0.0], 1.0, 1.0)  # shift fallback
+@example([-1e308, 1e308], 1.0, 1.0)  # ||v||_1 overflows
+def test_l1_projection_keeps_the_wrapper_bytes(vals, radius, shrink):
+    # shrink scales v toward the ball, so many draws land inside it
+    v = np.array(vals) * shrink
+    ball = L1Ball(radius)
+    assert _outcome(ball.project, v) == _outcome(lambda v: _l1_project_reference(v, radius), v)
