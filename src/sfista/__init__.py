@@ -8,7 +8,6 @@ from .core import (
     CompositeProblem,
     CountingOracle,
     OracleCounters,
-    QuadraticFunction,
     SmoothFunction,
     SolveOutput,
     eval_phi,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction",
-    "QuadraticFunction", "SolveOutput", "eval_phi",
+    "SolveOutput", "eval_phi",
     "ConvexSet", "Simplex", "L1Ball", "Box", "BoxHyperplane",
     "project_simplex",
     "SfistaConfig", "SfistaTraceRow", "solve_sfista",

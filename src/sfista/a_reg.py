@@ -17,9 +17,9 @@ from typing import List
 import numpy as np
 
 from .core import (
+    _L_FIRST,
     CompositeProblem,
     OracleCounters,
-    QuadraticFunction,
     SmoothFunction,
     SolveOutput,
     check_start,
@@ -28,8 +28,6 @@ from .core import (
 )
 from .rpf_sfista import SfistaConfig, _clamp_m_lower, solve_sfista
 
-# first L of the first subproblem, and its floor in every later one
-_N0 = 10.0
 _MAX_OUTER_ITERS = 100
 
 __all__ = [
@@ -57,11 +55,11 @@ class ARegConfig:
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        # written as `not x > 0` so that NaN fails too
-        if not self.B >= 1:
-            raise ValueError("B must be at least 1")
-        if not self.delta0 > 0:
-            raise ValueError("delta0 must be positive")
+        # written as `not 0 < x < inf` so that NaN fails too
+        if not 1 <= self.B < math.inf:
+            raise ValueError("B must be at least 1 and finite")
+        if not 0 < self.delta0 < math.inf:
+            raise ValueError("delta0 must be positive and finite")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if not self.time_limit >= 0:
@@ -93,27 +91,22 @@ def build_subproblem(
 ) -> CompositeProblem:
     """Strongly convex subproblem: smooth part plus (delta/2)||z - theta||^2.
 
-    Its image is z - theta followed by the base problem's image
-    (`smooth_of`), one flat array that the solvers carry like any other.
-    It is a QuadraticFunction exactly when the base f is one.
+    Its image is the base problem's (`smooth_of`); value and grad add the
+    proximal term at the point itself.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     theta = np.asarray(theta, dtype=float)
     base = smooth_of(problem)
-    n = problem.dim
 
-    def image(z):
-        return np.concatenate((z - theta, base.image(z)))
+    def value(z, k):
+        d = z - theta
+        return base.value(z, k) + 0.5 * delta * float(d @ d)
 
-    def value(k):
-        return base.value(k[n:]) + 0.5 * delta * float(k[:n] @ k[:n])
+    def grad(z, k):
+        return np.asarray(base.grad(z, k), dtype=float) + delta * (z - theta)
 
-    def grad(k):
-        return np.asarray(base.grad(k[n:]), dtype=float) + delta * k[:n]
-
-    kind = QuadraticFunction if isinstance(base, QuadraticFunction) else SmoothFunction
-    smooth = kind(image, value, grad)
+    smooth = SmoothFunction(base.image, value, grad)
     return CompositeProblem(
         dim=problem.dim,
         f_eval=smooth.f_eval,
@@ -147,7 +140,7 @@ def solve_areg(
 
     delta = config.delta0
     theta = theta0
-    N_bar_prev = _N0
+    N_bar_prev = _L_FIRST
     status = "iter_cap"
     w = theta0
     r = np.full(problem.dim, math.inf)
@@ -158,8 +151,8 @@ def solve_areg(
             status = "time_cap"
             break
 
-        # N_bar_prev = N0 in the first outer iteration, where the clamp returns exactly N0
-        N_lower = _clamp_m_lower(N_bar_prev, _N0)
+        # N_bar_prev = _L_FIRST in the first outer iteration, where the clamp returns it exactly
+        N_lower = _clamp_m_lower(N_bar_prev, _L_FIRST)
         sub = build_subproblem(problem, delta, theta)
         inner_cfg = SfistaConfig(
             mu0=config.B * delta,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _L_FIRST,
     CompositeProblem,
     CountingOracle,
     SolveOutput,
@@ -47,15 +48,16 @@ class BaselineConfig:
     All four stop on the relative residual ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    L0: float = 10.0
+    L0: float = _L_FIRST
     eps_hat: float = 1e-8
     max_total_iters: int = 10**6
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        for name in ("L0", "eps_hat"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0 < self.L0 < math.inf:
+            raise ValueError("L0 must be positive and finite")
+        if not self.eps_hat > 0:
+            raise ValueError("eps_hat must be positive")
         if not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
 

@@ -18,7 +18,6 @@ from .prox_ops import ConvexSet
 
 __all__ = [
     "SmoothFunction",
-    "QuadraticFunction",
     "CompositeProblem",
     "OracleCounters",
     "SolveOutput",
@@ -35,8 +34,12 @@ _LS_SLACK = 1e-12
 # lies below its model with curvature (1 - chi) L / 2.  rpf-sfista's restart
 # test and bootstrap mu use the same chi.
 _CHI = 0.001
+# the first L of every method's line search: rpf-sfista's M_lower_init,
+# A-REG's first one and floor, and the baselines' L0
+_L_FIRST = 10.0
 _L_OVERFLOW = 1e30
 _FLOAT = np.dtype(float)
+_NO_IMAGE = np.empty(0)  # the image of plain-callable oracles
 
 
 def norm(x: np.ndarray) -> float:
@@ -47,17 +50,18 @@ def norm(x: np.ndarray) -> float:
 
 
 class SmoothFunction:
-    """A smooth f = value(image(z)) with grad f(z) = grad(image(z)).
+    """A smooth f = value(z, image(z)) with grad f(z) = grad(z, image(z)).
 
     image(z) holds what f and grad f at z have in common -- for f = g(Kz),
     the image Kz -- so f and grad f at one point share one image (the
     smooth-function form of TFOCS; Becker, Candes and Grant, 2011).  The
-    contract is that image returns one flat ndarray and is affine in z:
-    image(w z1 + (1 - w) z2) = w image(z1) + (1 - w) image(z2).  Bind a
-    CompositeProblem's f_eval and f_grad to this object's `f_eval` and
-    `f_grad`: while both stay bound to the same SmoothFunction,
-    CountingOracle carries the image through the solvers' affine
-    combinations, so only prox outputs get a fresh one.
+    contract is that image returns one flat ndarray, possibly empty, that
+    is affine in z: image(w z1 + (1 - w) z2) = w image(z1) + (1 - w)
+    image(z2).  A quadratic's gradient is affine too: its image holds it,
+    and its grad returns that block.  Bind a CompositeProblem's f_eval and
+    f_grad to this object's `f_eval` and `f_grad`: while both stay bound to
+    the same SmoothFunction, CountingOracle carries the image through the
+    solvers' affine combinations, so only prox outputs get a fresh one.
     """
 
     __slots__ = ("image", "value", "grad")
@@ -71,26 +75,10 @@ class SmoothFunction:
         self.grad = grad
 
     def f_eval(self, z: np.ndarray) -> float:
-        return self.value(self.image(z))
+        return self.value(z, self.image(z))
 
     def f_grad(self, z: np.ndarray) -> np.ndarray:
-        return self.grad(self.image(z))
-
-
-class QuadraticFunction(SmoothFunction):
-    """A SmoothFunction of a quadratic f: grad(image(z)) is affine in z too.
-
-    The solvers carry its gradient along with its image through their affine
-    combinations (x_tilde, the momentum point x), the way TFOCS caches
-    linear-operator images, so grad f there costs no operator product
-    either; only prox outputs get a fresh image and gradient.
-    """
-
-    __slots__ = ()
-
-
-def _identity(z):
-    return z
+        return self.grad(z, self.image(z))
 
 
 @dataclass(frozen=True)
@@ -167,15 +155,14 @@ def smooth_of(problem: CompositeProblem) -> SmoothFunction:
 
     This is the SmoothFunction that problem.f_eval and problem.f_grad are
     both bound to, if there is one.  Otherwise -- plain callables, or one of
-    the two replaced, e.g. by `dataclasses.replace` -- it has the identity as
-    image and f_eval and f_grad as value and grad, so it calls exactly the
-    problem's own oracles.
+    the two replaced, e.g. by `dataclasses.replace` -- it has an empty image
+    and calls the problem's own f_eval and f_grad at z.
     """
     f_eval, f_grad = problem.f_eval, problem.f_grad
     smooth = getattr(f_eval, "__self__", None)
     if isinstance(smooth, SmoothFunction) and f_eval == smooth.f_eval and f_grad == smooth.f_grad:
         return smooth
-    return SmoothFunction(_identity, f_eval, f_grad)
+    return SmoothFunction(lambda z: _NO_IMAGE, lambda z, k: f_eval(z), lambda z, k: f_grad(z))
 
 
 class CountingOracle:
@@ -186,15 +173,13 @@ class CountingOracle:
     not (dim,) raise a ValueError naming the oracle.
 
     The solvers hold each point z as a lifted point P = lift(z): z followed
-    by its image, and for a QuadraticFunction also by grad f(z).  Both are
-    affine in z, so an affine combination of lifted points is the lifted
-    point of the same combination of points, and one numpy expression moves
-    a point with its image and gradient.  f is `value` of the carried image;
-    grad is the carried gradient of a quadratic, else `grad` of the carried
-    image.  For the identity image (plain-callable or replaced oracles) P is
-    z twice over, so f and grad are the problem's own oracles, called at a
-    copy of z with the same bytes.  f and grad count one evaluation each,
-    whether the image was computed or carried.
+    by its image (`smooth_of`).  The image is affine in z, so an affine
+    combination of lifted points is the lifted point of the same combination
+    of points, and one numpy expression moves a point with its image.  f and
+    grad are `value` and `grad` at the point and its carried image, and
+    count one evaluation each, whether the image was computed or carried.
+    For plain-callable or replaced oracles the image is empty and P is a
+    copy of z, so f and grad are the problem's own oracles.
 
     prox calls the problem's h_prox, or, when h_prox is the bound `prox` of
     a ConvexSet, that set's `warm_prox()`: one per solve, so a projection
@@ -211,33 +196,23 @@ class CountingOracle:
             h_prox = owner.warm_prox()
         self._h_prox = h_prox
         smooth = smooth_of(problem)
-        image, value, grad, n = smooth.image, smooth.value, smooth.grad, problem.dim
-        self.pt = slice(n)  # P[pt] is the point of the lifted point P
-        if isinstance(smooth, QuadraticFunction):
-            # the gradient's shape is checked where the oracle runs
-            def lift(z):
-                k = image(z)
-                return np.concatenate((z, k, self._vector("grad", grad(k))))
+        self._image, self._value, self._grad = smooth.image, smooth.value, smooth.grad
+        self.pt = slice(problem.dim)  # P[pt] is the point of the lifted point P
+        self._img = slice(problem.dim, None)
 
-            self._value_at = lambda P: value(P[n:-n])
-            self._grad_at = lambda P: P[-n:]
-        else:
-            def lift(z):
-                return np.concatenate((z, image(z)))
-
-            self._value_at = lambda P: value(P[n:])
-            self._grad_at = lambda P: self._vector("grad", grad(P[n:]))
-        self.lift = lift
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """The lifted point of z: z followed by its image."""
+        return np.concatenate((z, self._image(z)))
 
     def f(self, P: np.ndarray) -> float:
         """f at the lifted point P."""
         self.counters.f_evals += 1
-        return float(self._value_at(P))
+        return float(self._value(P[self.pt], P[self._img]))
 
     def grad(self, P: np.ndarray) -> np.ndarray:
         """grad f at the lifted point P."""
         self.counters.grad_evals += 1
-        return self._grad_at(P)
+        return self._vector("grad", self._grad(P[self.pt], P[self._img]))
 
     def prox(self, p: np.ndarray, lam: float) -> np.ndarray:
         self.counters.prox_evals += 1

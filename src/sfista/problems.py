@@ -14,7 +14,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import CompositeProblem, QuadraticFunction, SmoothFunction
+from .core import CompositeProblem, SmoothFunction
 from .prox_ops import BoxHyperplane, ConvexSet, L1Ball, Simplex
 
 __all__ = [
@@ -91,8 +91,8 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
 
     smooth = SmoothFunction(
         image=lambda z: D @ z,
-        value=lambda t: float(np.add.reduce(np.logaddexp(0.0, t))),
-        grad=lambda t: D.T @ (1.0 / (1.0 + np.exp(-t))),
+        value=lambda z, t: float(np.add.reduce(np.logaddexp(0.0, t))),
+        grad=lambda z, t: D.T @ (1.0 / (1.0 + np.exp(-t))),
     )
     problem = CompositeProblem(
         dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
@@ -107,7 +107,8 @@ def gen_lasso(
 ) -> Tuple[CompositeProblem, np.ndarray]:
     """Least squares f(z) = ||Az - b||^2 / 2 over the l1 ball of radius C.
 
-    Accepts a dense array or a scipy sparse matrix.
+    Accepts a dense array or a scipy sparse matrix.  The image of z is the
+    residual r = Az - b followed by the gradient A'r.
     """
     ball = L1Ball(C)
     b = np.asarray(b, dtype=float)
@@ -117,10 +118,14 @@ def gen_lasso(
     At = A.T
     L = opnorm_sq(lambda v: A @ v, lambda v: At @ v, n)
 
-    smooth = QuadraticFunction(
-        image=lambda z: A @ z - b,
-        value=lambda r: 0.5 * float(r @ r),
-        grad=lambda r: At @ r,
+    def image(z):
+        r = A @ z - b
+        return np.concatenate((r, At @ r))
+
+    smooth = SmoothFunction(
+        image,
+        value=lambda z, k: 0.5 * float(k[:m] @ k[:m]),
+        grad=lambda z, k: k[m:],
     )
     problem = CompositeProblem(
         dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
@@ -216,17 +221,16 @@ def _gen_qp(
             continue
         tau1, tau2, mu_actual, L_actual = cal
 
-        def image(z, M1=M1, Cm=Cm, d=d):
-            return np.concatenate((M1 @ z, Cm @ z - d))
+        # the image of z is (r1, r2, grad f(z)) for r1 = M1 z, r2 = C z - d
+        def image(z, M1=M1, Cm=Cm, d=d, tau1=tau1, tau2=tau2):
+            r1, r2 = M1 @ z, Cm @ z - d
+            return np.concatenate((r1, r2, tau1 * (M1.T @ r1) + tau2 * (Cm.T @ r2)))
 
-        def value(r, tau1=tau1, tau2=tau2):
-            r1, r2 = r[:n], r[n:]
+        def value(z, k, tau1=tau1, tau2=tau2):
+            r1, r2 = k[:n], k[n:n + m]
             return 0.5 * tau1 * float(r1 @ r1) + 0.5 * tau2 * float(r2 @ r2)
 
-        def grad(r, M1t=M1.T, Cmt=Cm.T, tau1=tau1, tau2=tau2):
-            return tau1 * (M1t @ r[:n]) + tau2 * (Cmt @ r[n:])
-
-        smooth = QuadraticFunction(image, value, grad)
+        smooth = SmoothFunction(image, value, lambda z, k: k[n + m:])
         problem = CompositeProblem(
             dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
             h_prox=constraint.prox, h_eval=constraint.indicator,

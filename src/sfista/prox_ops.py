@@ -46,8 +46,8 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    if radius <= 0:
-        raise ValueError("simplex radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("simplex radius must be positive and finite")
     # np.sort, np.cumsum and np.flatnonzero's own calls, without their wrappers
     u = v.copy()
     u.sort()
@@ -56,17 +56,24 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     # an end: two tests find either before the sums would warn on them
     if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         raise ValueError("cannot project a vector with NaN or infinite entries")
-    css = np.add.accumulate(u) - radius
+    # n max|v_i| + radius bounds the running sums; one that overflows takes the shift below
+    if max(u[0], -u[-1]) < (1e308 - radius) / v.size:
+        css = np.add.accumulate(u) - radius
+    else:
+        with np.errstate(over="ignore"):
+            css = np.add.accumulate(u) - radius
     ks = np.arange(1, v.size + 1)
     positive = (u - css / ks > 0).nonzero()[0]
-    if positive.size == 0:
+    if positive.size == 0 or not math.isfinite(css[-1]):
         # k = 1 always qualifies unless v is so large that u_1 - (u_1 -
-        # radius) rounds to 0; shifting v by a constant does not move the
-        # projection and makes k = 1 qualify.  Entries below -radius after
-        # the shift project to 0, so the floor moves nothing and keeps an
-        # entry the shift overflows to -inf finite
+        # radius) rounds to 0 or a running sum overflows; shifting v by a
+        # constant does not move the projection and makes k = 1 qualify.
+        # Entries below -radius after the shift project to 0, so the floor
+        # moves nothing and keeps an entry the shift overflows to -inf finite
         with np.errstate(over="ignore"):
             shifted = np.maximum(v - v.max(), -2.0 * radius)
+        if np.array_equal(shifted, v):  # the sums overflow on the radius alone
+            raise ValueError("simplex radius too large: the running sums overflow")
         return project_simplex(shifted, radius)
     rho = int(positive[-1])
     theta = css[rho] / (rho + 1)
@@ -119,7 +126,9 @@ class L1Ball(ConvexSet):
         simplex projection of |v| with the ball's radius and restore signs."""
         v = np.asarray(v, dtype=float)
         a = np.abs(v)
-        if np.add.reduce(a) <= self.radius:
+        with np.errstate(over="ignore"):  # an overflowed ||v||_1 is inf: outside
+            inside = np.add.reduce(a) <= self.radius
+        if inside:
             return v.copy()
         return np.sign(v) * project_simplex(a, radius=self.radius)
 

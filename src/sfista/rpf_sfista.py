@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     _CHI,
+    _L_FIRST,
     CompositeProblem,
     CountingOracle,
     SolveOutput,
@@ -55,7 +56,7 @@ class SfistaConfig:
     ||v|| <= eps_hat, 'relative' tests ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    M_lower_init: float = 10.0
+    M_lower_init: float = _L_FIRST
     mu0: Optional[float] = None
     mu_shrink: float = 0.5
     eps_hat: float = 1e-8
@@ -65,11 +66,11 @@ class SfistaConfig:
     trace: bool = False
 
     def __post_init__(self):
-        # written as `not x > 0` so that NaN fails too
-        if not self.M_lower_init > 0:
-            raise ValueError("M_lower_init must be positive")
-        if self.mu0 is not None and not self.mu0 > 0:
-            raise ValueError("fixed mu0 must be positive")
+        # written as `not 0 < x < inf` so that NaN fails too
+        if not 0 < self.M_lower_init < math.inf:
+            raise ValueError("M_lower_init must be positive and finite")
+        if self.mu0 is not None and not 0 < self.mu0 < math.inf:
+            raise ValueError("fixed mu0 must be positive and finite")
         if not 0 < self.mu_shrink < 1:
             raise ValueError("mu_shrink must lie in (0, 1)")
         if not self.eps_hat > 0:

@@ -47,8 +47,8 @@ def test_config_validation():
         ARegConfig(delta0=0.0)
     with pytest.raises(ValueError):
         ARegConfig(eps=-1.0)
-    nan = float("nan")
-    for bad in ({"B": nan}, {"delta0": nan}, {"eps": nan},
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"B": nan}, {"delta0": nan}, {"eps": nan}, {"B": inf}, {"delta0": inf},
                 {"time_limit": nan}, {"time_limit": -1.0}):
         with pytest.raises(ValueError):
             ARegConfig(**bad)

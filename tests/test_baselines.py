@@ -169,6 +169,7 @@ def test_counters_track_line_search():
 @pytest.mark.parametrize("bad", [
     {"L0": 0.0}, {"L0": -1.0}, {"L0": float("nan")}, {"eps_hat": -1.0},
     {"eps_hat": float("nan")}, {"time_limit": float("nan")}, {"time_limit": -1.0},
+    {"L0": float("inf")},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

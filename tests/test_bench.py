@@ -271,25 +271,25 @@ PINNED_COUNTS = {
     ("logistic", "fista-r"): (152, 5, 307, 304, 155),
     ("logistic", "rada"): (226, 4, 0, 452, 226),
     ("logistic", "greedy"): (130, 12, 0, 260, 130),
-    ("logistic", "a-reg"): (1016, 24, 2086, 2055, 1039),
+    ("logistic", "a-reg"): (920, 15, 1898, 1865, 945),
     ("lasso", "rpf-sfista"): (310, 3, 621, 620, 310),
     ("lasso", "fista-bt"): (498, 1, 996, 996, 498),
     ("lasso", "fista-r"): (154, 5, 308, 308, 154),
     ("lasso", "rada"): (109, 4, 0, 218, 109),
     ("lasso", "greedy"): (78, 13, 0, 156, 78),
-    ("lasso", "a-reg"): (4485, 22, 8981, 8970, 4485),
+    ("lasso", "a-reg"): (4490, 22, 8991, 8980, 4490),
     ("qp_simplex", "rpf-sfista"): (109, 2, 219, 218, 109),
     ("qp_simplex", "fista-bt"): (243, 1, 486, 486, 243),
     ("qp_simplex", "fista-r"): (82, 4, 164, 164, 82),
     ("qp_simplex", "rada"): (252, 4, 0, 504, 252),
     ("qp_simplex", "greedy"): (207, 13, 0, 414, 207),
-    ("qp_simplex", "a-reg"): (725, 12, 1459, 1450, 725),
+    ("qp_simplex", "a-reg"): (723, 12, 1455, 1446, 723),
     ("qp_box", "rpf-sfista"): (6484, 5, 12969, 12968, 6484),
     ("qp_box", "fista-bt"): (30971, 1, 61942, 61942, 30971),
     ("qp_box", "fista-r"): (3267, 4, 6534, 6534, 3267),
     ("qp_box", "rada"): (10920, 3, 0, 21840, 10920),
     ("qp_box", "greedy"): (8422, 22, 0, 16844, 8422),
-    ("qp_box", "a-reg"): (43054, 42, 86127, 86108, 43054),
+    ("qp_box", "a-reg"): (43051, 42, 86121, 86102, 43051),
 }
 
 

@@ -20,7 +20,6 @@ from sfista.core import (
     CompositeProblem,
     CountingOracle,
     OracleCounters,
-    QuadraticFunction,
     SmoothFunction,
     eval_phi,
     grad_fd_check,
@@ -203,7 +202,7 @@ def test_nan_oracle_fails_fast_in_fixed_step(solve, field_name, name, k):
 def test_nan_grad_at_line_search_outputs_fails_fast(solve, k):
     # grad f(y) at an accepted line-search output y enters only the residual
     # v, never a line-search test, so the residual is where the NaN shows
-    # grad receives a copy of y (the image half of its lifted point), so prox
+    # grad receives a copy of y (the point of its lifted point), so prox
     # outputs are marked by their bytes
     base = _ill_conditioned_box_qp()
     outputs = set()
@@ -241,22 +240,38 @@ def test_nan_grad_at_line_search_outputs_fails_fast(solve, k):
     ("h_prox", "prox", lambda out: out[:, None], r"\(20, 1\)"),
 ], ids=["grad-scalar", "grad-n1", "grad-n+1", "prox-n1"])
 def test_wrong_output_shape_raises(solve, field_name, name, reshape, shown):
-    # f as plain callables, and bound to a SmoothFunction and to a
-    # QuadraticFunction, whose gradient CountingOracle.lift carries
+    # f as plain callables, and bound to a SmoothFunction whose value and
+    # grad read the carried image, here a copy of z
     base = replace(_ill_conditioned_box_qp(), known_L=10.0)
     good = getattr(base, field_name)
 
     def bad(*args):
         return reshape(good(*args))
 
-    problems = [replace(base, **{field_name: bad})]
-    for kind in (SmoothFunction, QuadraticFunction):
-        smooth = kind(lambda z: z, base.f_eval, bad if field_name == "f_grad" else base.f_grad)
-        problem = replace(base, f_eval=smooth.f_eval, f_grad=smooth.f_grad)
-        problems.append(problem if field_name == "f_grad" else replace(problem, h_prox=bad))
+    f_grad = bad if field_name == "f_grad" else base.f_grad
+    smooth = SmoothFunction(lambda z: z, lambda z, k: base.f_eval(k), lambda z, k: f_grad(k))
+    bound = replace(base, f_eval=smooth.f_eval, f_grad=smooth.f_grad)
+    problems = [replace(base, **{field_name: bad}),
+                bound if field_name == "f_grad" else replace(bound, h_prox=bad)]
     for problem in problems:
         with pytest.raises(ValueError, match=f"the {name} oracle returned shape {shown}"):
             solve(problem, np.zeros(problem.dim))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, z0: solve_sfista(p, SfistaConfig(eps_hat=1e-8), z0),
+    lambda p, z0: solve_fista_bt(p, BaselineConfig(eps_hat=1e-8), z0),
+], ids=["rpf-sfista", "fista-bt"])
+@pytest.mark.parametrize("width", [19, 21])
+def test_wrong_length_gradient_block_raises(solve, width):
+    # a quadratic carries its gradient as a block of its image, which grad
+    # returns; a block of the wrong length is a grad output of the wrong shape
+    base = _ill_conditioned_box_qp()
+    smooth = SmoothFunction(lambda z: np.resize(base.f_grad(z), width),
+                            lambda z, k: base.f_eval(z), lambda z, k: k)
+    problem = replace(base, f_eval=smooth.f_eval, f_grad=smooth.f_grad)
+    with pytest.raises(ValueError, match=rf"the grad oracle returned shape \({width},\)"):
+        solve(problem, np.zeros(problem.dim))
 
 
 @settings(max_examples=200, deadline=None)

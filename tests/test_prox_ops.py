@@ -236,6 +236,8 @@ def test_bad_radius_raises():
         L1Ball(0.0).project(np.ones(3))
     with pytest.raises(ValueError):
         project_simplex(np.ones(3), radius=-1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        project_simplex(np.ones(3), radius=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +473,9 @@ def test_spec_validation():
 # ndarray.nonzero and np.add.reduce directly.  These references are the
 # expressions they replaced (np.sort, np.cumsum, np.flatnonzero,
 # ndarray.sum); a projection must return their bytes, or raise where they
-# raise.
+# raise, wherever the running sums are finite.  Where one overflows, the
+# simplex reference takes no fallback, and on an overflow to -inf it
+# returns inf entries.
 
 
 def _project_simplex_reference(v, radius=1.0):
@@ -528,8 +532,33 @@ _byte_vec = (st.lists(_entry, min_size=1, max_size=12)
 @example([1e308, 1e308], 1.0)  # the running sum overflows
 def test_simplex_projection_keeps_the_wrapper_bytes(vals, radius):
     v = np.array(vals)
-    assert (_outcome(lambda v: project_simplex(v, radius), v)
-            == _outcome(lambda v: _project_simplex_reference(v, radius), v))
+    with np.errstate(over="ignore"):
+        sums_finite = math.isfinite(np.cumsum(np.sort(v)[::-1])[-1] - radius)
+    if sums_finite:
+        assert (_outcome(lambda v: project_simplex(v, radius), v)
+                == _outcome(lambda v: _project_simplex_reference(v, radius), v))
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = project_simplex(v, radius)
+        assert (x >= 0).all() and abs(x.sum() - radius) <= 1e-12 * radius * x.size
+
+
+def test_overflowing_sums_project_without_warning():
+    # ||v||_1 and the running sums of the sorted entries overflow; an
+    # overflowed sum takes the shift fallback, which keeps them finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        np.testing.assert_array_equal(project_simplex(np.array([1e308, 1e308])), [0.5, 0.5])
+        np.testing.assert_array_equal(L1Ball(1.0).project(np.array([-1e308, 1e308])),
+                                      [-0.5, 0.5])
+        # an overflow to -inf, where the running sums once gave inf entries
+        np.testing.assert_array_equal(project_simplex(np.array([1.0, -1e308, -1e308])),
+                                      [1.0, 0.0, 0.0])
+        # a radius so large that the shifted sums overflow too is an error,
+        # not a shift repeated without end
+        with pytest.raises(ValueError, match="radius too large"):
+            project_simplex(np.array([1.0, -1e308]), radius=1e308)
 
 
 @settings(max_examples=400, deadline=None)

@@ -46,8 +46,9 @@ def test_config_validation():
         SfistaConfig(eps_hat=0.0)
     with pytest.raises(ValueError):
         SfistaConfig(residual_mode="bogus")
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for bad in ({"eps_hat": nan}, {"M_lower_init": nan}, {"mu0": nan},
+                {"M_lower_init": inf}, {"mu0": inf},
                 {"time_limit": nan}, {"time_limit": -1.0}):
         with pytest.raises(ValueError):
             SfistaConfig(**bad)
@@ -101,12 +102,12 @@ def test_line_search_overflow_raises():
 
 
 def test_step_weight_overflow_raises():
-    # the first cycle of an inner solve of A-REG at eps 1e-14 on
-    # logistic-m80-n50-s43 grows A and tau until 4 tau A L overflows; an inf
+    # the second cycle of an inner solve of A-REG at eps 1e-14 on
+    # logistic-m100-n60-s44 grows A and tau until 4 tau A L overflows; an inf
     # step weight would make x_tilde NaN
-    prob, z0 = make_instance(InstanceSpec("logistic", 80, 50, 43))
-    with pytest.raises(RuntimeError, match=r"RPF-SFISTA: the step weight overflowed in cycle 1 "
-                       r"at j = 2502 \(A = 3.19e\+153, tau = 9.97e\+152, L = 15.6\)"):
+    prob, z0 = make_instance(InstanceSpec("logistic", 100, 60, 44))
+    with pytest.raises(RuntimeError, match=r"RPF-SFISTA: the step weight overflowed in cycle 2 "
+                       r"at j = 1912 \(A = 5.87e\+152, tau = 1.47e\+153, L = 72.8\)"):
         solve_areg(prob, ARegConfig(eps=1e-14), z0)
 
 

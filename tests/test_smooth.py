@@ -1,17 +1,19 @@
-"""The smooth oracle: the solvers carry every smooth image, and a
-quadratic's gradient too.
+"""The smooth oracle: the solvers carry every smooth image, and with it a
+quadratic's gradient.
 
 Every generator family builds its f as a SmoothFunction whose image is one
 flat ndarray, affine in z, and the solvers hold each point with its image
-appended (CountingOracle.lift); for a QuadraticFunction (lasso, both QPs and
-the A-REG subproblem of a quadratic) its gradient too, so an affine
-combination of points carries both and only prox outputs need a fresh image.
-These tests pin that f and grad f from a fresh image are exactly the separate
-calls, that images (and a quadratic's gradient) are affine, that carried ones
-stay within roundoff of fresh ones over long runs, that replacing an oracle
-(as timing wrappers do) falls back to the separate calls and reaches the same
-answer to within the tolerance, that every raw oracle call is counted, and
-how many images, gradients and matrix-vector products an iteration costs.
+appended (CountingOracle.lift).  A quadratic's image (lasso and both QPs)
+ends with its gradient, and an A-REG subproblem keeps its base image, so an
+affine combination of points carries both and only prox outputs need a
+fresh image.
+These tests pin the layout of a lifted point, that f and grad f from a fresh
+image are exactly the separate calls, that images are affine, that carried
+ones stay within roundoff of fresh ones over long runs, that replacing an
+oracle (as timing wrappers do) falls back to the separate calls and reaches
+the same answer to within the tolerance, that every raw oracle call is
+counted, and how many images, gradients and matrix-vector products an
+iteration costs.
 """
 
 from dataclasses import replace
@@ -31,7 +33,6 @@ from sfista.baselines import (
 from sfista.bench import METHODS, desk_suite
 from sfista.core import (
     CountingOracle,
-    QuadraticFunction,
     SmoothFunction,
     eval_phi,
     smooth_of,
@@ -75,24 +76,34 @@ def _plain(problem):
     return replace(problem, f_eval=lambda z: f_eval(z), f_grad=lambda z: f_grad(z))
 
 
-def _carried_part(smooth, z):
-    """The image of z, and for a QuadraticFunction the gradient as well:
-    what its lifted point holds after z.  Affine in z either way."""
-    k = smooth.image(z)
-    if isinstance(smooth, QuadraticFunction):
-        return np.concatenate((k, smooth.grad(k)))
-    return k
-
-
 def _scale(smooth, dim):
-    """(||c||, ||K||) for the affine _carried_part(z) = K z + c.
+    """(||c||, ||K||) for the affine image(z) = K z + c.
 
     A fresh image holds roundoff of order eps (||c|| + ||K|| ||z||), the
     scale the bounds below are stated in.
     """
-    c = _carried_part(smooth, np.zeros(dim))
-    K = np.column_stack([_carried_part(smooth, e) - c for e in np.eye(dim)])
+    c = smooth.image(np.zeros(dim))
+    K = np.column_stack([smooth.image(e) - c for e in np.eye(dim)])
     return float(np.linalg.norm(c)), float(np.linalg.norm(K, 2))
+
+
+# the image's length: logistic t = Dz (m = 30); lasso r = Az - b and A'r
+# (m = 20, n = 40); a QP's (M1 z, Cz - d, grad f) (n = 16, m = 10 and 8); an
+# A-REG subproblem's is its base problem's, here the lasso's
+_IMAGE_LENGTH = {"logistic": 30, "lasso": 20 + 40, "qp_simplex": 16 + 10 + 16,
+                 "qp_box": 16 + 8 + 16, "a-reg subproblem": 20 + 40}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_lifted_point_layout(family):
+    # z, then its image; for plain callables the image is empty, so the
+    # lifted point is a copy of z
+    problem, z0 = _instance(family)
+    P = CountingOracle(problem).lift(z0)
+    assert P.shape == (problem.dim + _IMAGE_LENGTH[family],)
+    assert P[:problem.dim].tobytes() == z0.tobytes()
+    P = CountingOracle(_plain(problem)).lift(z0)
+    assert P.tobytes() == z0.tobytes() and not np.shares_memory(P, z0)
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -119,22 +130,24 @@ def test_fused_oracle_equals_separate_calls(family, data):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_image_is_affine(family, data):
-    # the contract of SmoothFunction, and for a QuadraticFunction that of its
-    # gradient, which carrying relies on:
-    # image(w z1 + (1 - w) z2) = w image(z1) + (1 - w) image(z2), to roundoff
+    # the contract of SmoothFunction, which carrying relies on:
+    # image(w z1 + (1 - w) z2) = w image(z1) + (1 - w) image(z2), to roundoff.
+    # A quadratic's grad returns a block of its image, so it is carried too
     problem, _ = _instance(family)
     smooth = smooth_of(problem)
-    assert isinstance(smooth, QuadraticFunction) == (family != "logistic")
     vectors = st.lists(st.floats(-3.0, 3.0), min_size=problem.dim, max_size=problem.dim)
     z1, z2 = np.array(data.draw(vectors)), np.array(data.draw(vectors))
+    k1 = smooth.image(z1)
+    quadratic = family in ("lasso", "qp_box", "qp_simplex")
+    assert np.shares_memory(smooth.grad(z1, k1), k1) == quadratic
     w = data.draw(st.floats(-2.0, 3.0))
     z = w * z1 + (1.0 - w) * z2
-    carried = w * _carried_part(smooth, z1) + (1.0 - w) * _carried_part(smooth, z2)
+    carried = w * k1 + (1.0 - w) * smooth.image(z2)
     k0, nK = _scale(smooth, problem.dim)
     weights = 1.0 + abs(w) + abs(1.0 - w)
     zmax = max(float(np.linalg.norm(z1)), float(np.linalg.norm(z2)))
     bound = 4.0 * _EPS * weights * (k0 + nK * zmax)
-    assert float(np.max(np.abs(_carried_part(smooth, z) - carried))) <= bound
+    assert float(np.max(np.abs(smooth.image(z) - carried))) <= bound
 
 
 _METHODS = ["rpf-sfista", "fista-bt", "fista-r", "rada", "greedy"]
@@ -146,7 +159,7 @@ _METHODS = ["rpf-sfista", "fista-bt", "fista-r", "rada", "greedy"]
     *(pytest.param("qp_box", m, 1e-8, id=f"{m}-qp_box") for m in _METHODS),
 ])
 def test_carried_images_stay_within_roundoff(family, method, eps, monkeypatch):
-    # a carried image (and a quadratic's gradient) never drifts from the fresh
+    # a carried image (a quadratic's gradient included) never drifts from the fresh
     # one of its point: at every point of a run on the smallest desk instance
     # (lasso at eps 1e-13: rpf-sfista, mu_shrink 0.5, takes 930 iterations in
     # 7 cycles, fista-bt 1,250; qp_box at eps 1e-8, where fista-bt takes
@@ -162,7 +175,7 @@ def test_carried_images_stay_within_roundoff(family, method, eps, monkeypatch):
 
     def checked_grad(self, P):
         z = P[:n]
-        gap = float(np.max(np.abs(P[n:] - _carried_part(smooth, z))))
+        gap = float(np.max(np.abs(P[n:] - smooth.image(z))))
         worst.append(gap / (_EPS * (c + nK * float(np.linalg.norm(z)))))
         return grad(self, P)
 
@@ -210,7 +223,7 @@ def test_replaced_oracles_fall_back_with_identical_iterates(family, method):
     # as their certificates allow (A-REG's r lies in dphi(w) too).
     problem, z0 = _instance(family)
     plain = _plain(problem)
-    assert smooth_of(plain).image(z0) is z0  # the unfused fallback
+    assert smooth_of(plain).image(z0).size == 0  # the unfused fallback
     if method == "a-reg":
         fused, unfused = (solve_areg(p, ARegConfig(eps=1e-6), z0) for p in (problem, plain))
         _agree(family, problem, fused.w, fused.r, unfused.w, unfused.r)
@@ -292,17 +305,41 @@ def _per_iteration(method, problem, z0, counts):
 
 
 @pytest.mark.parametrize("method,unfused", [
-    ("rpf-sfista", 6), ("fista-bt", 6), ("fista-r", 6), ("rada", 4), ("greedy", 4),
+    ("rpf-sfista", 8), ("fista-bt", 8), ("fista-r", 8), ("rada", 4), ("greedy", 4),
 ])
 def test_lasso_iteration_matvecs(method, unfused):
-    # fused, only y's fresh image r = Ay - b and gradient A'r cost products:
-    # 2 per iteration; unfused, f costs 1 and grad f 2 at each point taken
+    # fused, only y's fresh image, r = Ay - b and the gradient A'r, costs
+    # products: 2 per iteration; unfused, f and grad f each cost both at each
+    # point taken
     rng = np.random.default_rng(5)
     counts = {"products": 0}
     A = rng.standard_normal((20, 40))
     problem, z0 = gen_lasso(_CountingMatrix(A, counts), rng.standard_normal(20), 2.0, seed=5)
     assert _per_iteration(method, problem, z0, counts) == {"products": 2}
     assert _per_iteration(method, _plain(problem), z0, counts) == {"products": unfused}
+
+
+def _counting(problem, z0, counts):
+    """problem with its images and computed gradients counted in counts.
+
+    A quadratic's grad returns a block of its image, so its gradient is
+    computed, and counted, with the image; other grads count per call.
+    """
+    smooth = smooth_of(problem)
+    k = smooth.image(z0)
+    in_image = np.shares_memory(smooth.grad(z0, k), k)
+
+    def image(z):
+        counts["image"] += 1
+        counts["grad"] += in_image
+        return smooth.image(z)
+
+    def grad(z, k):
+        counts["grad"] += not in_image
+        return smooth.grad(z, k)
+
+    counting = SmoothFunction(image, smooth.value, grad)
+    return replace(problem, f_eval=counting.f_eval, f_grad=counting.f_grad)
 
 
 @pytest.mark.parametrize("family,image,grad", [
@@ -312,19 +349,15 @@ def test_lasso_iteration_matvecs(method, unfused):
 @pytest.mark.parametrize("method", _METHODS)
 def test_image_and_grad_calls_per_iteration(family, image, grad, method):
     # every image is carried, so only y gets a fresh one; a quadratic's
-    # gradient is carried too, so only y's is computed, where logistic
-    # computes grad f at x_tilde from its carried image as well
-    problem, z0 = _instance(family)
-    smooth = smooth_of(problem)
+    # gradient is a block of its image, so only y's is computed, where
+    # logistic computes grad f at x_tilde from its carried image as well.
+    # The A-REG subproblem's grad adds delta (z - theta) to its base's
+    # gradient block, which is counted on the base
     counts = {"image": 0, "grad": 0}
-
-    def counted(name, fn):
-        def call(arg):
-            counts[name] += 1
-            return fn(arg)
-        return call
-
-    counting = type(smooth)(counted("image", smooth.image), smooth.value,
-                            counted("grad", smooth.grad))
-    problem = replace(problem, f_eval=counting.f_eval, f_grad=counting.f_grad)
+    if family == "a-reg subproblem":
+        base, z0 = _instance("lasso")
+        problem = build_subproblem(_counting(base, z0, counts), 0.25, z0)
+    else:
+        problem, z0 = _instance(family)
+        problem = _counting(problem, z0, counts)
     assert _per_iteration(method, problem, z0, counts) == {"image": image, "grad": grad}
