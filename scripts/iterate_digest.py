@@ -13,11 +13,18 @@ the output's bytes: y, v, xi (y where it is None), L_final and the residual
 `bench.METHODS` entry and A-REG on the four `desk_suite` families at seed 42.  `--eps 1e-8,1e-13` adds the
 high-accuracy runs, which take about 20 minutes on one core (fista-bt needs
 up to 920,000 iterations on the box QPs).  The hashes depend on the BLAS
-build, so compare two runs on one machine only; OPENBLAS_NUM_THREADS=1 keeps
-them reproducible.
+build, so compare two runs on one machine only.  The script pins BLAS to one
+thread, which keeps them reproducible.
 """
 
 from __future__ import annotations
+
+import os
+
+# Pin BLAS to one thread before numpy loads: the hashes repeat exactly only at
+# a fixed thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import argparse
 import hashlib

@@ -104,7 +104,12 @@ def build_subproblem(
         return base.value(z, k) + 0.5 * delta * float(d @ d)
 
     def grad(z, k):
-        return np.asarray(base.grad(z, k), dtype=float) + delta * (z - theta)
+        # the sum would broadcast a gradient of the wrong shape past
+        # CountingOracle's check, so it is checked here
+        g = np.asarray(base.grad(z, k), dtype=float)
+        if g.shape != z.shape:
+            raise ValueError(f"the grad oracle returned shape {g.shape}, expected {z.shape}")
+        return g + delta * (z - theta)
 
     smooth = SmoothFunction(base.image, value, grad)
     return CompositeProblem(

@@ -139,9 +139,9 @@ def run_benchmark(
 ) -> List[RunRecord]:
     """Run every method on every instance, one solve at a time.
 
-    Each instance is built once and its methods share it: a solve keeps its
-    per-solve state (the warm prox) to itself.  Records come in suite order,
-    and each runtime is that solve's own wall time.
+    Each instance is built once and its methods share it: a problem holds
+    no per-solve state.  Records come in suite order, and each runtime is
+    that solve's own wall time.
     """
     if len(suite) == 0:
         raise ValueError("suite must be nonempty")

@@ -14,8 +14,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .prox_ops import ConvexSet
-
 __all__ = [
     "SmoothFunction",
     "CompositeProblem",
@@ -180,21 +178,13 @@ class CountingOracle:
     count one evaluation each, whether the image was computed or carried.
     For plain-callable or replaced oracles the image is empty and P is a
     copy of z, so f and grad are the problem's own oracles.
-
-    prox calls the problem's h_prox, or, when h_prox is the bound `prox` of
-    a ConvexSet, that set's `warm_prox()`: one per solve, so a projection
-    warm-started from the previous one keeps its state here, not in the set.
     """
 
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
         self.counters = OracleCounters()
         self._shape = (problem.dim,)
-        h_prox = problem.h_prox
-        owner = getattr(h_prox, "__self__", None)
-        if isinstance(owner, ConvexSet) and h_prox == owner.prox:
-            h_prox = owner.warm_prox()
-        self._h_prox = h_prox
+        self._h_prox = problem.h_prox
         smooth = smooth_of(problem)
         self._image, self._value, self._grad = smooth.image, smooth.value, smooth.grad
         self.pt = slice(problem.dim)  # P[pt] is the point of the lifted point P

@@ -5,14 +5,8 @@ step size.  Each constraint set is one object: `Simplex()`, `L1Ball(radius)`,
 `Box(lo, hi)` or `BoxHyperplane(a, b, r)`.  Its constructor validates the
 parameters once and stores the constants every projection reuses, and its
 bound methods `prox` and `indicator` are a CompositeProblem's h_prox and
-h_eval.  The objects hold no per-solve state, so threads can share one.
-
-`ConvexSet.warm_prox()` is a prox for one solve.  For `BoxHyperplane` it keeps
-the last projection's multiplier in a closure and starts the next projection
-there, since a solver's consecutive prox inputs differ by one step; the
-breakpoint search serves the first call and the fallback.  `core.CountingOracle`
-calls warm_prox once per solve, so the sets stay shareable.  Every other set's
-warm_prox is its prox.
+h_eval.  A projection depends on its input alone: no set keeps state between
+calls, so threads can share one.
 """
 
 from __future__ import annotations
@@ -32,9 +26,9 @@ __all__ = [
 
 # contains(z) admits constraint violations of this order, scaled to each set
 _FEAS_TOL = 1e-9
-# Newton passes a warm-started box-hyperplane projection makes before it falls
-# back to the breakpoint search; a solver's warm starts settle in one or two
-_WARM_PASSES = 5
+# Newton passes a box-hyperplane projection makes before it falls back to the
+# breakpoint search; with few coordinates at the box bound they settle in one
+_NEWTON_PASSES = 5
 
 
 def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -92,10 +86,6 @@ class ConvexSet:
         if not lam > 0:
             raise ValueError("prox step must be positive")
         return self.project(p)
-
-    def warm_prox(self):
-        """A prox for one solve; state kept between its calls lives in it."""
-        return self.prox
 
     def indicator(self, z: np.ndarray) -> float:
         return 0.0 if self.contains(z) else float("inf")
@@ -161,21 +151,21 @@ class BoxHyperplane(ConvexSet):
     which g(lam) = a'clip(v - lam*a, -r, r) - b is zero.  g is nonincreasing
     and piecewise linear: coordinate i (a_i != 0) is free, with slope -a_i^2,
     for lam between its two kinks (v_i -+ r sign(a_i)) / a_i and clipped
-    outside.  One sort of the 2n kinks and a cumsum of the slope changes give
-    g at every kink (Kiwiel's breakpoint search, O(n log n)); on the segment
-    where g first reaches zero, lam solves a'z = b in closed form from the
-    free set F and the clipped values z_C:
+    outside.  On the segment where g reaches zero, lam solves a'z = b in
+    closed form from the free set F and the clipped values z_C:
     lam = (a_F'v_F + a_C'z_C - b) / ||a_F||^2.  The result is exact up to
     roundoff; there is no tolerance.  Coordinates with a_i = 0 are
     clip(v_i, -r, r).
 
-    Started from a multiplier (warm_prox passes the last projection's), the
-    solve repeats a Newton pass instead: F and z_C at lam, then lam from the
-    same closed form, until the clip pattern repeats and lam is the root
-    (Cominetti, Mascarenhas and Silva, 2014).  An empty F, or _WARM_PASSES
-    passes, falls back to the breakpoint search, so no bracket is kept.  A
-    root inside a segment gets the closed form of the same F either way, so
-    both solves give the same bytes.
+    The solve makes Newton passes from lam = (a'v - b) / ||a||^2, the root
+    when every coordinate is free: F and z_C at lam, then lam from the
+    closed form, until the clip pattern repeats and lam is the root
+    (Cominetti, Mascarenhas and Silva, 2014).  An empty F, or _NEWTON_PASSES
+    passes, falls back to Kiwiel's breakpoint search: one sort of the 2n
+    kinks and a cumsum of the slope changes give g at every kink, O(n log n).
+    A root inside a segment gets the closed form of the same F either way,
+    so both give the same bytes.  Newton passes cost more than the search
+    only when many coordinates sit at the box bound.
     """
 
     def __init__(self, a, b: float, r: float):
@@ -195,6 +185,11 @@ class BoxHyperplane(ConvexSet):
         an = self._an = a[self._nz]
         self._edge = r * np.sign(an)
         self._a2 = an * an
+        # the multiplier with every coordinate free is a_free'v - b_free.
+        # a_i v_i / ||a||^2 = (a_i^2 / ||a||^2) (v_i / a_i), so that sum
+        # cannot overflow where the kinks do not
+        a2_sum = float(np.add.reduce(self._a2))
+        self._a_free, self._b_free = an / a2_sum, self.b / a2_sum
         # a kink changes g's slope by -a_i^2 where coordinate i enters the
         # free set and by +a_i^2 where it leaves, and the free count by +-1
         self._slope_steps = np.concatenate((-self._a2, self._a2))
@@ -205,23 +200,6 @@ class BoxHyperplane(ConvexSet):
         self._eq_tol = _FEAS_TOL * (1.0 + abs(b) + np.linalg.norm(a) * r)
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return self._solve(v, None)[0]
-
-    def warm_prox(self):
-        last = [None]  # the multiplier of the previous projection
-
-        def prox(p: np.ndarray, lam: float) -> np.ndarray:
-            if not lam > 0:
-                raise ValueError("prox step must be positive")
-            z, last[0] = self._solve(p, last[0])
-            return z
-
-        return prox
-
-    def _solve(self, v: np.ndarray, lam):
-        """(projection of v, its multiplier).  Newton passes start from the
-        multiplier lam unless it is None; the breakpoint search serves
-        otherwise and when they fail."""
         v = np.asarray(v, dtype=float)
         if not np.isfinite(v).all():
             raise ValueError("cannot project a vector with NaN or infinite entries")
@@ -229,19 +207,18 @@ class BoxHyperplane(ConvexSet):
         # coordinate i is free for lam in [enter_i, leave_i], at +r sign(a_i)
         # before and at -r sign(a_i) after
         enter, leave = (vn - self._edge) / an, (vn + self._edge) / an
-        if lam is not None:
-            lam = self._newton(vn, enter, leave, lam)
+        lam = self._newton(vn, enter, leave, self._a_free.dot(vn) - self._b_free)
         if lam is None:
             lam = self._breakpoint(vn, enter, leave)
         # np.clip without its Python-level wrapper; v and lam are finite
-        return np.minimum(np.maximum(v - lam * self.a, -self.r), self.r), lam
+        return np.minimum(np.maximum(v - lam * self.a, -self.r), self.r)
 
     def _newton(self, vn: np.ndarray, enter: np.ndarray, leave: np.ndarray, lam: float):
         """The multiplier by Newton passes from lam, or None when the free
-        set is empty or _WARM_PASSES passes leave the clip pattern moving."""
+        set is empty or _NEWTON_PASSES passes leave the clip pattern moving."""
         upper = enter >= lam
         free = ~upper & (leave > lam)
-        for _ in range(_WARM_PASSES):
+        for _ in range(_NEWTON_PASSES):
             if not np.count_nonzero(free):
                 return None
             lam = self._multiplier(vn, free, upper)

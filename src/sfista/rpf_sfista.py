@@ -142,13 +142,11 @@ def restart_fires(
 
 def _clamp_m_lower(prev: float, floor: float) -> float:
     """First L of a new cycle (or A-REG subproblem) after one that exited
-    with L = prev: 0.4 prev, clamped to [max(prev / 4, floor), prev]."""
-    lo = max(0.25 * prev, floor)
-    if lo > prev:
-        # floor exceeds the previous exit L; the legal interval degenerates
-        # to its upper end.
-        return prev
-    return min(max(0.4 * prev, lo), prev)
+    with L = prev: 0.4 prev, raised to floor.  prev >= floor always holds:
+    L starts at its floor and the line search only raises it, and A-REG's
+    prev is the exit L of an inner solve whose floor is at least _L_FIRST.
+    So the result lies in [max(prev / 4, floor), prev]."""
+    return max(0.4 * prev, floor)
 
 
 def solve_sfista(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfista.a_reg import ARegConfig, solve_areg
 from sfista.baselines import (
     BaselineConfig,
     solve_fista_bt,
@@ -232,7 +233,8 @@ def test_nan_grad_at_line_search_outputs_fails_fast(solve, k):
     lambda p, z0: solve_sfista(p, SfistaConfig(eps_hat=1e-8), z0),
     lambda p, z0: solve_fista_bt(p, BaselineConfig(eps_hat=1e-8), z0),
     lambda p, z0: solve_greedy_fista(p, BaselineConfig(eps_hat=1e-8), z0),
-], ids=["rpf-sfista", "fista-bt", "greedy"])
+    lambda p, z0: solve_areg(p, ARegConfig(eps=1e-8), z0),
+], ids=["rpf-sfista", "fista-bt", "greedy", "a-reg"])
 @pytest.mark.parametrize("field_name,name,reshape,shown", [
     ("f_grad", "grad", lambda out: float(out[0]), r"\(\)"),
     ("f_grad", "grad", lambda out: out[:, None], r"\(20, 1\)"),

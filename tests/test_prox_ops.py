@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sfista.bench import METHODS
-from sfista.problems import gen_qp_box
+from sfista.bench import METHODS, desk_suite
+from sfista.problems import gen_qp_box, make_instance
 from sfista.prox_ops import (
     Box,
     BoxHyperplane,
@@ -199,19 +199,12 @@ def test_empty_vector_raises():
         project_simplex(np.array([]))
 
 
-def _warm_box_hyperplane_prox():
-    prox = BoxHyperplane(np.ones(3), 0.0, 1.0).warm_prox()
-    prox(np.array([0.5, 1.0, 2.0]), 1.0)  # later calls start from its multiplier
-    return lambda v: prox(v, 1.0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("project", [
     project_simplex,
     L1Ball(1.0).project,
     lambda v: BoxHyperplane(np.ones(3), 0.0, 1.0).project(v),
-    _warm_box_hyperplane_prox(),
-], ids=["simplex", "l1_ball", "box_hyperplane", "box_hyperplane_warm"])
+], ids=["simplex", "l1_ball", "box_hyperplane"])
 def test_nonfinite_input_raises(project, bad):
     # the check comes before any arithmetic that would warn on the entry
     with warnings.catch_warnings():
@@ -229,6 +222,10 @@ def test_huge_finite_input_projects():
         warnings.simplefilter("error", RuntimeWarning)
         np.testing.assert_array_equal(project_simplex(np.array([1e308, 0.0, -1e308])),
                                       [1.0, 0.0, 0.0])
+        # a'v overflows, but not the all-free multiplier (a'v - b) / ||a||^2
+        np.testing.assert_array_equal(
+            BoxHyperplane(np.ones(4), 0.0, 1.0).project(np.array([1e308, 1e308, 0.0, 0.0])),
+            [1.0, 1.0, -1.0, -1.0])
 
 
 def test_bad_radius_raises():
@@ -326,21 +323,33 @@ def _box_hyperplane_case(draw):
     return v, a, b, r, kind
 
 
+def _solve_from(C, v, lam):
+    """(projection of v, its multiplier) by C's Newton passes from lam, or by
+    its breakpoint search where lam is None or the passes give up."""
+    vn = v[C._nz]
+    enter, leave = (vn - C._edge) / C._an, (vn + C._edge) / C._an
+    if lam is not None:
+        lam = C._newton(vn, enter, leave, lam)
+    if lam is None:
+        lam = C._breakpoint(vn, enter, leave)
+    return np.clip(v - lam * C.a, -C.r, C.r), lam
+
+
 @settings(max_examples=300, deadline=None)
 @given(_box_hyperplane_case(), st.data())
 def test_box_hyperplane_exact_on_edge_cases(case, data):
-    """The cold solve, and warm starts from the multiplier of another input
-    (v moved by up to its own size plus r per coordinate) and from an
-    arbitrary finite multiplier, all meet the same bounds."""
+    """`project`, the breakpoint search, and Newton passes from the
+    multiplier of another input (v moved by up to its own size plus r per
+    coordinate) and from an arbitrary finite multiplier all meet the same
+    bounds."""
     v, a, b, r, kind = case
     C = BoxHyperplane(a, b, r)
     vmax = np.abs(v).max()
     move = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=v.size, max_size=v.size)))
-    hints = [None, C._solve(v + move * (vmax + r), None)[1],
-             data.draw(st.floats(allow_nan=False, allow_infinity=False))]
+    starts = [None, _solve_from(C, v + move * (vmax + r), None)[1],
+              data.draw(st.floats(allow_nan=False, allow_infinity=False))]
     want = oracle_box_hyperplane(v, a, b, r) if v.size <= 6 else None
-    for hint in hints:
-        z = C._solve(v, hint)[0]
+    for z in [C.project(v)] + [_solve_from(C, v, lam)[0] for lam in starts]:
         assert np.all(np.abs(z) <= r)
         assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
         if kind == "feasible":
@@ -349,38 +358,50 @@ def test_box_hyperplane_exact_on_edge_cases(case, data):
             np.testing.assert_allclose(z, want, rtol=0, atol=1e-14 * (1 + vmax))
 
 
-def test_warm_started_prox_matches_cold_bytes(monkeypatch):
-    """Every prox output of an rpf-sfista solve on a small box QP equals the
-    cold projection byte for byte, and the breakpoint search runs once per
-    solve, at its first projection; later ones start from the last
-    multiplier."""
-    problem, z0 = gen_qp_box(8, 16, "last1", 5.0, 0.0, 1e-2, 1e2, 3)
-    C = problem.h_prox.__self__
+def _recorded_solve(monkeypatch, problem, z0):
+    """rpf-sfista at the bench settings and eps 1e-8, with each projection's
+    (input, output) and the breakpoint searches recorded."""
     outputs, searches = [], []
-    warm_prox, breakpoint = BoxHyperplane.warm_prox, BoxHyperplane._breakpoint
+    project, breakpoint = BoxHyperplane.project, BoxHyperplane._breakpoint
 
-    def recording_warm_prox(self):
-        prox = warm_prox(self)
-
-        def recorded(p, lam):
-            outputs.append((p, prox(p, lam)))
-            return outputs[-1][1]
-
-        return recorded
+    def recorded(self, v):
+        outputs.append((v, project(self, v)))
+        return outputs[-1][1]
 
     def counted_breakpoint(self, *args):
         searches.append(len(outputs))
         return breakpoint(self, *args)
 
-    monkeypatch.setattr(BoxHyperplane, "warm_prox", recording_warm_prox)
+    monkeypatch.setattr(BoxHyperplane, "project", recorded)
     monkeypatch.setattr(BoxHyperplane, "_breakpoint", counted_breakpoint)
     out = METHODS["rpf-sfista"](problem, z0, 1e-8, 60.0)
-    assert out.status == "converged"
-    assert len(outputs) == out.counters.prox_evals > 1000
-    assert searches == [0]
     monkeypatch.undo()
+    assert out.status == "converged"
+    assert len(outputs) == out.counters.prox_evals
+    return problem.h_prox.__self__, outputs, searches
+
+
+def test_newton_prox_matches_breakpoint_bytes(monkeypatch):
+    """Every prox output of an rpf-sfista solve on a small box QP equals the
+    breakpoint search's projection byte for byte."""
+    problem, z0 = gen_qp_box(8, 16, "last1", 5.0, 0.0, 1e-2, 1e2, 3)
+    C, outputs, _ = _recorded_solve(monkeypatch, problem, z0)
+    assert len(outputs) > 1000
+    monkeypatch.setattr(BoxHyperplane, "_newton", lambda self, *args: None)
     for p, z in outputs:
         assert z.tobytes() == C.project(p).tobytes()
+
+
+def test_desk_box_qp_runs_no_breakpoint_search(monkeypatch):
+    """The fact the projection's design rests on: at r = 5 no desk box QP's
+    solution has a coordinate at the box bound, and the Newton passes from
+    the all-free multiplier settle every projection of an rpf-sfista solve
+    of qp_box-m40-n80-s42."""
+    spec = desk_suite("qp_box", 42, 1)[0]
+    assert spec.instance_id == "qp_box-m40-n80-s42"
+    _, outputs, searches = _recorded_solve(monkeypatch, *make_instance(spec))
+    assert len(outputs) > 1000
+    assert searches == []
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +450,9 @@ def test_projection_is_in_the_set(case):
 @given(_set_and_point(), st.floats(1e-12, 1e12), st.floats(max_value=0.0) | st.just(np.nan))
 def test_prox_is_projection_for_positive_lam(case, lam, bad_lam):
     C, v = case
-    for prox in (C.prox, C.warm_prox()):
-        assert prox(v, lam).tobytes() == C.project(v).tobytes()
-        with pytest.raises(ValueError, match="prox step must be positive"):
-            prox(v, bad_lam)
+    assert C.prox(v, lam).tobytes() == C.project(v).tobytes()
+    with pytest.raises(ValueError, match="prox step must be positive"):
+        C.prox(v, bad_lam)
 
 
 def test_spec_box():

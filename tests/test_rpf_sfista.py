@@ -313,9 +313,12 @@ def test_invariant_AL_growth():
 
 
 def test_invariant_L_nondecreasing_within_cycle():
+    # and never below its floor, which restarts (_clamp_m_lower) rely on
     _, out = _traced_lasso()
+    assert out.cycles > 1
     prev_cycle, prev_L = None, None
     for row in out.trace:
+        assert row.L >= SfistaConfig().M_lower_init
         if row.cycle == prev_cycle:
             assert row.L >= prev_L - 1e-15
         prev_cycle, prev_L = row.cycle, row.L
