@@ -15,8 +15,10 @@ drift that two separate `perfbench/run.py` runs see, which can exceed a
 
 Each job's CPU time (`time.process_time` around the solve) is kept per rep.
 The report gives, per method and in total, the ratio of the sums over jobs
-of the per-job minimum and of the per-job median, and counts the jobs whose
-outputs have the same bytes in both checkouts.  Every answer goes through
+of the per-job minimum and of the per-job median, the total iterations of
+each checkout (for A-REG, the sum of its inner solves' iterations), so that a
+change of iterates shows whether its saving comes from fewer iterations, and
+counts the jobs whose outputs have the same bytes in both checkouts.  Every answer goes through
 the benchmark's own checks (`harness.check_answer`); a failed job makes the
 exit status 1.  The last line is a JSON object with the same numbers.
 """
@@ -72,7 +74,12 @@ def worker(root: Path, workload_name: str, instance_seed: int) -> int:
         reply = {"cpu": time.process_time() - cpu, "ok": False, "error": error}
         if out is not None:
             reply["ok"], _, reply["error"] = harness.check_answer(job, b, out)
-            answer = out.w if job.method == "a-reg" else out.y
+            if job.method == "a-reg":
+                reply["iters"] = sum(inner.total_iters for inner in out.inner_outputs)
+                answer = out.w
+            else:
+                reply["iters"] = out.total_iters
+                answer = out.y
             reply["sha"] = hashlib.sha256(np.ascontiguousarray(answer).tobytes()).hexdigest()[:16]
         print(json.dumps(reply), flush=True)
     return 0
@@ -137,6 +144,7 @@ def main(argv=None) -> int:
               f"change {ROOT}", flush=True)
         cpu = {name: defaultdict(list) for name in workers}
         sha = {name: {} for name in workers}
+        iters = {name: {} for name in workers}
         failures = []
         for rep in range(args.reps):
             order = ("base", "change") if rep % 2 == 0 else ("change", "base")
@@ -145,6 +153,7 @@ def main(argv=None) -> int:
                     reply = workers[name].run(j)
                     cpu[name][j].append(reply["cpu"])
                     sha[name][j] = reply.get("sha")
+                    iters[name][j] = reply.get("iters", 0)
                     if not reply["ok"]:
                         failures.append(f"{name} {jobs[j]}: {reply['error']}")
     finally:
@@ -160,16 +169,19 @@ def main(argv=None) -> int:
     print(f"{args.workload}: {len(jobs)} jobs x {args.reps} reps per checkout; "
           "ratios are change / base")
     print(f"  {'method':<12}{'jobs':>5}{'base min s':>12}{'min ratio':>11}"
-          f"{'base med s':>12}{'med ratio':>11}")
+          f"{'base med s':>12}{'med ratio':>11}{'base iters':>12}{'change iters':>14}")
     for group, js in groups.items():
         row = {}
         for stat, fn in (("min", min), ("median", statistics.median)):
             base = sum(fn(cpu["base"][j]) for j in js)
             row[f"{stat}_base_s"] = base
             row[f"{stat}_ratio"] = _ratio(sum(fn(cpu["change"][j]) for j in js), base)
+        for name in workers:
+            row[f"iters_{name}"] = sum(iters[name][j] for j in js)
         report[group] = row
         print(f"  {group:<12}{len(js):>5}{row['min_base_s']:>12.4f}{row['min_ratio']:>11.3f}"
-              f"{row['median_base_s']:>12.4f}{row['median_ratio']:>11.3f}")
+              f"{row['median_base_s']:>12.4f}{row['median_ratio']:>11.3f}"
+              f"{row['iters_base']:>12}{row['iters_change']:>14}")
     same = sum(sha["base"][j] is not None and sha["base"][j] == sha["change"][j]
                for j in range(len(jobs)))
     print(f"  outputs with the same bytes: {same}/{len(jobs)} jobs")

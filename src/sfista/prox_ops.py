@@ -98,8 +98,10 @@ class Simplex(ConvexSet):
         return project_simplex(v)
 
     def contains(self, z: np.ndarray) -> bool:
+        # members have z_i <= 1 + (2n - 1) tol < 2; entries below 2 keep the sum finite
         z = np.asarray(z, dtype=float)
-        return bool((z >= -_FEAS_TOL).all() and abs(np.add.reduce(z) - 1.0) <= _FEAS_TOL * z.size)
+        return bool(-_FEAS_TOL <= np.minimum.reduce(z) and np.maximum.reduce(z) <= 2.0
+                    and abs(np.add.reduce(z) - 1.0) <= _FEAS_TOL * z.size)
 
 
 class L1Ball(ConvexSet):
@@ -123,7 +125,9 @@ class L1Ball(ConvexSet):
         return np.sign(v) * project_simplex(a, radius=self.radius)
 
     def contains(self, z: np.ndarray) -> bool:
-        return bool(np.add.reduce(np.abs(np.asarray(z, dtype=float))) <= self._limit)
+        # members have |z_i| <= ||z||_1; the first test bounds the sum by n times the limit
+        a = np.abs(z)
+        return bool(np.maximum.reduce(a) <= self._limit and np.add.reduce(a) <= self._limit)
 
 
 class Box(ConvexSet):

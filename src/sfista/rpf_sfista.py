@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     _CHI,
     _L_FIRST,
+    _STATIONARY_RTOL,
     CompositeProblem,
     CountingOracle,
     SolveOutput,
@@ -28,6 +29,7 @@ from .core import (
     nan_message,
     norm,
     residual_denominator,
+    step_curvature,
 )
 
 __all__ = [
@@ -37,9 +39,6 @@ __all__ = [
     "restart_fires",
 ]
 
-# Guard below which ||y - x_tilde|| is treated as zero (relative to iterate
-# scale): the restart test's right-hand side vanishes and v is near-exact.
-_STATIONARY_RTOL = 1e-14
 # growth factor of L in the line search
 _BETA = 1.25
 
@@ -48,6 +47,10 @@ _BETA = 1.25
 class SfistaConfig:
     """Inputs and tuning knobs of the restarted solver.
 
+    M_lower_init, the floor of every cycle's first L, is fixed by a float
+    (A-REG passes one).  None, the default, starts at `core._L_FIRST` and,
+    from j = 2 on, sets L and the floor to the curvature along the first
+    accepted step (`core.step_curvature`; `_L_FIRST` where it has none).
     mu0=None selects the bootstrap estimate computed from the first prox step
     of the first cycle; a positive float fixes the initial estimate.
     mu_shrink=0.5 matches the theory and stays the library default; 0.1 is
@@ -56,7 +59,7 @@ class SfistaConfig:
     ||v|| <= eps_hat, 'relative' tests ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    M_lower_init: float = _L_FIRST
+    M_lower_init: Optional[float] = None
     mu0: Optional[float] = None
     mu_shrink: float = 0.5
     eps_hat: float = 1e-8
@@ -67,7 +70,7 @@ class SfistaConfig:
 
     def __post_init__(self):
         # written as `not 0 < x < inf` so that NaN fails too
-        if not 0 < self.M_lower_init < math.inf:
+        if self.M_lower_init is not None and not 0 < self.M_lower_init < math.inf:
             raise ValueError("M_lower_init must be positive and finite")
         if self.mu0 is not None and not 0 < self.mu0 < math.inf:
             raise ValueError("fixed mu0 must be positive and finite")
@@ -110,22 +113,6 @@ class SfistaTraceRow:
         return self.gamma_y + float(self.s @ d) + self.mu / 4.0 * float(d @ d)
 
 
-def _bootstrap_mu(
-    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, fallback: float
-) -> float:
-    """Data-driven initial strong-convexity estimate from the first prox step.
-
-    Returns 4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) ||d||^2) for
-    d = y - x_tilde.  When y is numerically indistinguishable from x_tilde,
-    or the curvature gap is zero (linear f), returns the fallback.
-    """
-    nd2 = float(d @ d)
-    gap = f_y - ell_y
-    if math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)) or gap <= 0.0:
-        return fallback
-    return 4.0 * gap / ((1.0 - _CHI) * nd2)
-
-
 def restart_fires(
     xi: np.ndarray, x0: np.ndarray, y: np.ndarray, x_tilde: np.ndarray, A: float, L: float
 ) -> bool:
@@ -143,8 +130,8 @@ def restart_fires(
 def _clamp_m_lower(prev: float, floor: float) -> float:
     """First L of a new cycle (or A-REG subproblem) after one that exited
     with L = prev: 0.4 prev, raised to floor.  prev >= floor always holds:
-    L starts at its floor and the line search only raises it, and A-REG's
-    prev is the exit L of an inner solve whose floor is at least _L_FIRST.
+    from j = 2 on, L starts at its floor and the line search only raises it,
+    and A-REG's prev is the exit L of an inner solve whose floor is at least _L_FIRST.
     So the result lies in [max(prev / 4, floor), prev]."""
     return max(0.4 * prev, floor)
 
@@ -171,10 +158,10 @@ def solve_sfista(
     denom = None
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
-    M_bar0 = config.M_lower_init
+    M_bar0 = config.M_lower_init  # the cycle floor; None until the first step
     mu = config.mu0  # None until bootstrapped
     cycle, j, total_iters = 1, 1, 0
-    A, tau, L, a = 0.0, 1.0, M_bar0, 0.0
+    A, tau, L, a = 0.0, 1.0, M_bar0 or _L_FIRST, 0.0
     # lifted points (CountingOracle.lift): the momentum point x, the previous
     # y, the best point xi and the cycle's start x0; Y is the last prox output
     X = Y_prev = XI = X0 = Y = oracle.lift(z0)
@@ -211,10 +198,11 @@ def solve_sfista(
             # the first x_tilde is z0 (A = 0), up to rounding
             denom = residual_denominator(config.residual_mode, g_xt)
 
-        if mu is None:
-            # a0 and y1 never depend on mu (A0 = 0), so the bootstrap value
-            # can be installed right before the first tau/x update.
-            mu = _bootstrap_mu(f_y, ell_y, y - x_tilde, x_tilde, config.M_lower_init)
+        if total_iters == 1:
+            # the curvature along the first step: mu's bootstrap (a0 and y1
+            # never depend on mu, as A0 = 0), and the floor if M_bar0 is None
+            curvature = step_curvature(f_y, ell_y, y - x_tilde, x_tilde, M_bar0 or _L_FIRST)
+            mu = curvature if mu is None else mu
 
         # the best-point tie (phi(y) equal to the incumbent) keeps y
         phi_y = f_y + oracle.h(y)
@@ -249,6 +237,8 @@ def solve_sfista(
                 v_norm=norm(v), phi_xi=phi_xi, restarted=restart,
                 y=y.copy(), s=s.copy(), mu=mu, gamma_y=phi_y + 2.0 * (ell_y - f_y),
             ))
+        if M_bar0 is None:  # from j = 2 on; this step kept the L it was taken with
+            M_bar0 = L = curvature
         if restart:
             cycle += 1
             j, A, tau, xi_moved = 1, 0.0, 1.0, False

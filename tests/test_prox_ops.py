@@ -581,6 +581,51 @@ def test_overflowing_sums_project_without_warning():
             project_simplex(np.array([1.0, -1e308]), radius=1e308)
 
 
+@pytest.mark.parametrize("vals", [[1e308, 1e308], [-1e308, -1e308, 1.0], [1e308, -1e308]])
+def test_contains_huge_finite_input_without_warning(vals):
+    # the sums of these entries overflow; no such point is a member
+    z = np.array(vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert Simplex().contains(z) is False
+        assert L1Ball(1.0).contains(z) is False
+        assert Simplex().indicator(z) == math.inf
+
+
+@pytest.mark.parametrize("vals,member", [
+    ([0.5, 0.5], True), ([1.0, 0.0, 0.0], True), ([1.0 + 1e-10, 0.0], True),
+    ([2.0, -1.0], False), ([1.5, -0.5], False), ([0.5, 0.5 + 1e-8], False), ([2.5, 0.0], False),
+    ([np.nan, 1.0], False), ([np.inf, 0.0], False), ([-np.inf, 1.0], False),
+])
+def test_simplex_contains_answers(vals, member):
+    assert Simplex().contains(np.array(vals)) is member
+
+
+@pytest.mark.parametrize("vals,member", [
+    ([0.5, -0.5], True), ([1.0, 0.0], True), ([1.0 + 1e-10], True),
+    ([0.5, 0.5 + 1e-8], False), ([2.0, 0.0], False), ([np.nan], False), ([np.inf], False),
+])
+def test_l1_ball_contains_answers(vals, member):
+    assert L1Ball(1.0).contains(np.array(vals)) is member
+
+
+@settings(max_examples=400, deadline=None)
+@given(_byte_vec, st.floats(1e-3, 1e3))
+def test_contains_keeps_the_answers_of_the_plain_sums(vals, radius):
+    # the parent's tests, which warn where a sum overflows, on the inputs and
+    # on their projections (members, up to roundoff)
+    ball = L1Ball(radius)
+    v = np.array(vals)
+    for z in (v, project_simplex(v), ball.project(v)):
+        with np.errstate(over="ignore"):
+            in_simplex = bool((z >= -1e-9).all() and abs(np.add.reduce(z) - 1.0) <= 1e-9 * z.size)
+            in_ball = bool(np.add.reduce(np.abs(z)) <= ball.radius * (1.0 + 1e-9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert Simplex().contains(z) is in_simplex
+            assert ball.contains(z) is in_ball
+
+
 @settings(max_examples=400, deadline=None)
 @given(_byte_vec, st.floats(1e-3, 1e3), st.sampled_from([1e-3, 0.1, 1.0]))
 @example([0.5], 1.0, 1.0)  # n = 1, interior

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sfista.a_reg import ARegConfig, solve_areg
-from sfista.core import CompositeProblem, eval_phi
+from sfista.core import _L_FIRST, CompositeProblem, eval_phi
 from sfista.problems import InstanceSpec, gen_lasso_random, gen_qp_simplex, make_instance
 from sfista.rpf_sfista import SfistaConfig, restart_fires, solve_sfista
 
@@ -243,14 +243,14 @@ def test_solve_iter_cap():
 
 
 def test_iter_cap_right_after_a_restart():
-    # the first restart fires at iteration 32: the output is the last prox
+    # the first restart fires at iteration 25: the output is the last prox
     # output and its certificate, not the next cycle's start point
     prob, z0 = make_instance(InstanceSpec("lasso", 60, 120, 42, C=5.0))
     cfg = SfistaConfig(eps_hat=1e-8, residual_mode="relative", mu_shrink=0.1,
-                       max_total_iters=32, trace=True)
+                       max_total_iters=25, trace=True)
     out = solve_sfista(prob, cfg, z0)
     assert out.status == "iter_cap" and out.cycles == 2
-    assert out.trace[-1].restarted and out.trace[-1].j == 32
+    assert out.trace[-1].restarted and out.trace[-1].j == 25
     np.testing.assert_array_equal(out.y, out.trace[-1].y)
     denom = 1.0 + float(np.linalg.norm(prob.f_grad(z0)))
     assert math.isfinite(out.residual) and out.residual > 0.0
@@ -284,9 +284,9 @@ def test_output_contract_phi_xi_best():
 # trace invariants
 
 
-def _traced_lasso(eps=1e-10):
+def _traced_lasso(eps=1e-10, **kw):
     prob, z0 = gen_lasso_random(60, 120, 5.0, seed=11)
-    cfg = SfistaConfig(eps_hat=eps, residual_mode="relative", trace=True)
+    cfg = SfistaConfig(eps_hat=eps, residual_mode="relative", trace=True, **kw)
     return prob, solve_sfista(prob, cfg, z0)
 
 
@@ -314,14 +314,46 @@ def test_invariant_AL_growth():
 
 def test_invariant_L_nondecreasing_within_cycle():
     # and never below its floor, which restarts (_clamp_m_lower) rely on
-    _, out = _traced_lasso()
+    _, out = _traced_lasso(M_lower_init=_L_FIRST)
     assert out.cycles > 1
     prev_cycle, prev_L = None, None
     for row in out.trace:
-        assert row.L >= SfistaConfig().M_lower_init
+        assert row.L >= _L_FIRST
         if row.cycle == prev_cycle:
             assert row.L >= prev_L - 1e-15
         prev_cycle, prev_L = row.cycle, row.L
+
+
+def test_first_step_curvature_is_the_next_L_and_the_floor():
+    # M_lower_init=None: the first L is _L_FIRST; from j = 2 on, L and every
+    # cycle's floor start at c, the curvature along the first accepted step
+    prob, z0 = make_instance(InstanceSpec("lasso", 60, 120, 42, C=5.0))
+    cfg = SfistaConfig(eps_hat=1e-8, residual_mode="relative", mu_shrink=0.1, trace=True)
+    out = solve_sfista(prob, cfg, z0)
+    assert out.status == "converged" and out.cycles > 1
+    first = out.trace[0]
+    d = first.y - z0  # the first x_tilde is z0, up to rounding
+    gap = prob.f_eval(first.y) - prob.f_eval(z0) - float(prob.f_grad(z0) @ d)
+    c = 4.0 * gap / ((1.0 - 0.001) * float(d @ d))
+    assert first.L == _L_FIRST and c < _L_FIRST
+    # the bootstrap mu is the same curvature
+    assert first.mu == pytest.approx(c, rel=1e-9)
+    c = first.mu
+    assert out.trace[1].L == c
+    for prev, row in zip(out.trace[1:], out.trace[2:]):
+        assert row.L >= c
+        if row.cycle == prev.cycle:
+            assert row.L >= prev.L
+
+
+def test_measured_floor_leaves_a_fixed_one_alone():
+    # a float M_lower_init is every cycle's floor, as before
+    prob, z0 = make_instance(InstanceSpec("lasso", 60, 120, 42, C=5.0))
+    cfg = SfistaConfig(M_lower_init=_L_FIRST, eps_hat=1e-8, residual_mode="relative",
+                       mu_shrink=0.1, trace=True)
+    out = solve_sfista(prob, cfg, z0)
+    assert out.status == "converged"
+    assert min(row.L for row in out.trace) == _L_FIRST
 
 
 def test_invariant_phi_xi_nonincreasing_across_everything():

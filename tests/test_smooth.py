@@ -217,8 +217,9 @@ def _agree(family, problem, a, va, b, vb, best=None):
 def test_replaced_oracles_fall_back_with_identical_iterates(family, method):
     # the fallback evaluates f and grad f at every point from the problem's own
     # oracles, where the fused path carries images.  Equal counts need equal
-    # arithmetic, which carrying gives up: on qp_box rpf-sfista takes 1,290
-    # iterations carried and 1,313 unfused, as a line-search decision settled
+    # arithmetic, which carrying gives up: on qp_box rpf-sfista with
+    # M_lower_init=10 takes 1,290 iterations carried and 1,313 unfused (the
+    # default takes 1,619 both ways), as a line-search decision settled
     # at roundoff level flips.  Both converge, to answers that agree as far
     # as their certificates allow (A-REG's r lies in dphi(w) too).
     problem, z0 = _instance(family)
