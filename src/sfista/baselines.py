@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .core import (
     nan_message,
     norm,
     residual_denominator,
-    step_curvature,
 )
 
 __all__ = [
@@ -44,20 +42,19 @@ __all__ = [
 class BaselineConfig:
     """Knobs for the four comparison methods.
 
-    L0 seeds the doubling line search of the backtracking variants (default
-    `core._L_FIRST`); None, opt-in, is rpf-sfista's M_lower_init=None rule.  The
+    L0 seeds the doubling line search of the backtracking variants.  The
     fixed-step variants need the global Lipschitz constant: gamma is 1/L for
     the adaptive-momentum method and 1.3/L for the greedy one (`_RULES`).
     All four stop on the relative residual ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    L0: Optional[float] = _L_FIRST
+    L0: float = _L_FIRST
     eps_hat: float = 1e-8
     max_total_iters: int = 10**6
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        if self.L0 is not None and not 0 < self.L0 < math.inf:
+        if not 0 < self.L0 < math.inf:
             raise ValueError("L0 must be positive and finite")
         if not self.eps_hat > 0:
             raise ValueError("eps_hat must be positive")
@@ -91,7 +88,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
     step, restart, momentum = _RULES[method]
     z0 = check_start(problem, z0)
     start = time.monotonic()
-    L, gamma = config.L0 or _L_FIRST, None
+    L, gamma = config.L0, None
     if step is not None:
         if problem.known_L is None or problem.known_L <= 0:
             raise ValueError("fixed-step baselines need problem.known_L")
@@ -119,11 +116,9 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
         x_tilde = X_tilde[pt]
         if gamma is None:  # doubling line search from a fixed x_tilde
             point = (X_tilde, oracle.grad(X_tilde), oracle.f(X_tilde))
-            L, _, g_xt, Y, f_y, ell_y = line_search(oracle, lambda L: point, L, 2.0)
+            L, _, g_xt, Y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0)
             y = Y[pt]
             s = L * (x_tilde - y)
-            if j == 1 and config.L0 is None:  # this step's s keeps its own L
-                L = step_curvature(f_y, ell_y, y - x_tilde, x_tilde, L)
         else:
             g_xt = oracle.grad(X_tilde)
             y = oracle.prox(x_tilde - gamma * g_xt, gamma)

@@ -32,11 +32,10 @@ _LS_SLACK = 1e-12
 # lies below its model with curvature (1 - chi) L / 2.  rpf-sfista's restart
 # test and bootstrap mu use the same chi.
 _CHI = 0.001
-# every method's first L, a fixed scale; A-REG's floor and the baselines' L0.
-# rpf-sfista's floor (and L0=None's L) from j = 2 on is `step_curvature`.
+# the first L of every method's line search: A-REG's first one and floor,
+# the baselines' L0, and rpf-sfista's first one (its floor comes from the
+# first step unless M_lower_init fixes it)
 _L_FIRST = 10.0
-# ||y - x_tilde|| below this, relative to iterate scale, counts as zero
-_STATIONARY_RTOL = 1e-14
 _L_OVERFLOW = 1e30
 _FLOAT = np.dtype(float)
 _NO_IMAGE = np.empty(0)  # the image of plain-callable oracles
@@ -307,21 +306,6 @@ def line_search(
             raise RuntimeError(
                 "line search exceeded L = 1e30; f is not smooth or the oracle is broken"
             )
-
-
-def step_curvature(
-    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, fallback: float
-) -> float:
-    """4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) ||d||^2), the curvature of f
-    along d = y - x_tilde and the least L the line-search test accepts for
-    it; the fallback where y is numerically x_tilde or the gap is within the
-    line-search slack (a stationary start, a linear f, roundoff)."""
-    nd2 = float(d @ d)
-    gap = f_y - ell_y
-    if (math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
-            or gap <= _LS_SLACK * (1.0 + abs(f_y))):
-        return fallback
-    return 4.0 * gap / ((1.0 - _CHI) * nd2)
 
 
 def nan_message(where: str, what: str, outputs) -> str:

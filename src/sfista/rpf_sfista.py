@@ -20,7 +20,7 @@ import numpy as np
 from .core import (
     _CHI,
     _L_FIRST,
-    _STATIONARY_RTOL,
+    _LS_SLACK,
     CompositeProblem,
     CountingOracle,
     SolveOutput,
@@ -29,7 +29,6 @@ from .core import (
     nan_message,
     norm,
     residual_denominator,
-    step_curvature,
 )
 
 __all__ = [
@@ -39,6 +38,9 @@ __all__ = [
     "restart_fires",
 ]
 
+# Guard below which ||y - x_tilde|| is treated as zero (relative to iterate
+# scale): the restart test's right-hand side vanishes and v is near-exact.
+_STATIONARY_RTOL = 1e-14
 # growth factor of L in the line search
 _BETA = 1.25
 
@@ -50,7 +52,7 @@ class SfistaConfig:
     M_lower_init, the floor of every cycle's first L, is fixed by a float
     (A-REG passes one).  None, the default, starts at `core._L_FIRST` and,
     from j = 2 on, sets L and the floor to the curvature along the first
-    accepted step (`core.step_curvature`; `_L_FIRST` where it has none).
+    accepted step (`_step_curvature`; `_L_FIRST` where it has none).
     mu0=None selects the bootstrap estimate computed from the first prox step
     of the first cycle; a positive float fixes the initial estimate.
     mu_shrink=0.5 matches the theory and stays the library default; 0.1 is
@@ -111,6 +113,22 @@ class SfistaTraceRow:
         """
         d = np.asarray(x, dtype=float) - self.y
         return self.gamma_y + float(self.s @ d) + self.mu / 4.0 * float(d @ d)
+
+
+def _step_curvature(
+    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, fallback: float
+) -> float:
+    """4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) ||d||^2), the curvature of f
+    along d = y - x_tilde and the least L the line-search test accepts for
+    it: the bootstrap mu and, with M_lower_init=None, the floor.  The
+    fallback where y is numerically x_tilde or the gap is within the
+    line-search slack (a stationary start, a linear f, roundoff)."""
+    nd2 = float(d @ d)
+    gap = f_y - ell_y
+    if (math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
+            or gap <= _LS_SLACK * (1.0 + abs(f_y))):
+        return fallback
+    return 4.0 * gap / ((1.0 - _CHI) * nd2)
 
 
 def restart_fires(
@@ -201,7 +219,7 @@ def solve_sfista(
         if total_iters == 1:
             # the curvature along the first step: mu's bootstrap (a0 and y1
             # never depend on mu, as A0 = 0), and the floor if M_bar0 is None
-            curvature = step_curvature(f_y, ell_y, y - x_tilde, x_tilde, M_bar0 or _L_FIRST)
+            curvature = _step_curvature(f_y, ell_y, y - x_tilde, x_tilde, M_bar0 or _L_FIRST)
             mu = curvature if mu is None else mu
 
         # the best-point tie (phi(y) equal to the incumbent) keeps y

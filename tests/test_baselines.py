@@ -11,9 +11,8 @@ from sfista.baselines import (
     solve_greedy_fista,
     solve_rada_fista,
 )
-from sfista.core import _CHI, _L_FIRST, CompositeProblem
+from sfista.core import CompositeProblem
 from sfista.problems import gen_lasso_random
-from sfista.rpf_sfista import SfistaConfig, solve_sfista
 
 
 def _scalar_quadratic(c=1.0):
@@ -123,60 +122,6 @@ def test_value_restart_ignores_a_rise_of_a_few_ulps(ulps, cycles):
     out = solve_fista_restart(prob, BaselineConfig(max_total_iters=10), np.zeros(1))
     assert (out.status, out.total_iters, out.counters.prox_evals) == ("iter_cap", 10, 10)
     assert out.cycles == cycles
-
-
-def _rising_problem(ulps):
-    # the oracle of test_value_restart_ignores_a_rise_of_a_few_ulps: f rises by
-    # `ulps` ulps at every prox call, grad f = 0 and the prox steps by 1
-    calls = [0]
-
-    def prox(p, lam):
-        calls[0] += 1
-        return p + 1.0
-
-    return CompositeProblem(
-        dim=1,
-        f_eval=lambda z: 1.0 + ulps * calls[0] * np.finfo(float).eps,
-        f_grad=lambda z: np.zeros(1),
-        h_prox=prox,
-        h_eval=lambda z: 0.0,
-    )
-
-
-@pytest.mark.parametrize("ulps,cycles", [(1, 1), (4, 1), (5, 10)])
-def test_measured_L0_ignores_a_rise_of_a_few_ulps(ulps, cycles):
-    # a gap f(y) - ell_f(y; x_tilde) of a few ulps lies within the
-    # line-search slack: it is no curvature, so L stays at _L_FIRST and the
-    # residual at L.  Taken as curvature, it would set L to ~1e-15 and the
-    # residual with it, and the solve would report `converged`.
-    cfg = BaselineConfig(L0=None, max_total_iters=10)
-    out = solve_fista_restart(_rising_problem(ulps), cfg, np.zeros(1))
-    assert (out.status, out.total_iters, out.counters.prox_evals) == ("iter_cap", 10, 10)
-    assert out.cycles == cycles
-    assert out.L_final == _L_FIRST
-
-
-@pytest.mark.parametrize("ulps", [1, 4, 5])
-def test_sfista_measured_floor_ignores_a_rise_of_a_few_ulps(ulps):
-    def run(M_lower_init):
-        cfg = SfistaConfig(M_lower_init=M_lower_init, max_total_iters=10)
-        out = solve_sfista(_rising_problem(ulps), cfg, np.zeros(1))
-        c = out.counters
-        return out.status, out.total_iters, out.cycles, c.f_evals, c.grad_evals, c.prox_evals, out.L_final
-
-    assert run(None) == run(_L_FIRST)
-    assert run(None)[:3] == ("iter_cap", 10, 1)
-
-
-@pytest.mark.parametrize("solver", [solve_fista_bt, solve_fista_restart])
-@pytest.mark.parametrize("c", [1.0, 100.0])
-def test_measured_L0_is_the_curvature_along_the_first_step(solver, c):
-    # f = c z^2 / 2 has f(y) - ell_f(y; x) = c (y - x)^2 / 2 along every
-    # step, so the least L the test accepts is 2c / (1 - chi), whatever L the
-    # first step needed (c = 100 doubles L from 10 to 320)
-    out = solver(_scalar_quadratic(c), BaselineConfig(L0=None, eps_hat=1e-10), np.array([1.0]))
-    assert out.status == "converged"
-    assert out.L_final == pytest.approx(2.0 * c / (1.0 - _CHI), rel=1e-12)
 
 
 def test_fixed_step_needs_known_L():
