@@ -17,7 +17,6 @@ from typing import List
 import numpy as np
 
 from .core import (
-    _L_FIRST,
     CompositeProblem,
     OracleCounters,
     SmoothFunction,
@@ -26,7 +25,7 @@ from .core import (
     norm,
     smooth_of,
 )
-from .rpf_sfista import SfistaConfig, _clamp_m_lower, solve_sfista
+from .rpf_sfista import SfistaConfig, solve_sfista
 
 _MAX_OUTER_ITERS = 100
 
@@ -46,7 +45,8 @@ class ARegConfig:
 
     B scales the inner solver's initial strong-convexity estimate above the
     certified modulus delta of the regularized subproblem (B >= 1).  The
-    inner solves otherwise use SfistaConfig's defaults.
+    inner solves otherwise use SfistaConfig's defaults: each measures its
+    own L and floor from its first step, and no L carries between them.
     """
 
     B: float = 10.0
@@ -96,7 +96,7 @@ def build_subproblem(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    theta = np.asarray(theta, dtype=float)
+    theta = problem.check_dim(theta)
     base = smooth_of(problem)
 
     def value(z, k):
@@ -145,7 +145,6 @@ def solve_areg(
 
     delta = config.delta0
     theta = theta0
-    N_bar_prev = _L_FIRST
     status = "iter_cap"
     w = theta0
     r = np.full(problem.dim, math.inf)
@@ -156,12 +155,9 @@ def solve_areg(
             status = "time_cap"
             break
 
-        # N_bar_prev = _L_FIRST in the first outer iteration, where the clamp returns it exactly
-        N_lower = _clamp_m_lower(N_bar_prev, _L_FIRST)
         sub = build_subproblem(problem, delta, theta)
         inner_cfg = SfistaConfig(
             mu0=config.B * delta,
-            M_lower_init=N_lower,
             eps_hat=config.eps / 6.0,
             residual_mode="absolute",
             time_limit=max(config.time_limit - elapsed, 0.0),
@@ -181,8 +177,6 @@ def solve_areg(
         if trace[-1].r_norm <= config.eps:
             status = "converged"
             break
-
-        N_bar_prev = out.L_final
         delta = delta / 2.0
 
     return ARegOutput(

@@ -42,20 +42,18 @@ __all__ = [
 class BaselineConfig:
     """Knobs for the four comparison methods.
 
-    L0 seeds the doubling line search of the backtracking variants.  The
-    fixed-step variants need the global Lipschitz constant: gamma is 1/L for
-    the adaptive-momentum method and 1.3/L for the greedy one (`_RULES`).
+    The backtracking variants start their doubling line search at
+    `core._L_FIRST`.  The fixed-step variants need the global Lipschitz
+    constant: gamma is 1/L for the adaptive-momentum method and 1.3/L for
+    the greedy one (`_RULES`).
     All four stop on the relative residual ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    L0: float = _L_FIRST
     eps_hat: float = 1e-8
     max_total_iters: int = 10**6
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        if not 0 < self.L0 < math.inf:
-            raise ValueError("L0 must be positive and finite")
         if not self.eps_hat > 0:
             raise ValueError("eps_hat must be positive")
         if not self.time_limit >= 0:
@@ -72,7 +70,7 @@ def gradient_restart_fires(y_prev: np.ndarray, y: np.ndarray, x_tilde: np.ndarra
 _PHI_RISE_ULPS = 4
 
 # (step, restart, momentum) of each method.  step: None for the doubling
-# line search from L0, else the fixed step gamma times known_L.  restart:
+# line search from _L_FIRST, else the fixed step gamma times known_L.  restart:
 # None, "value" (phi(y) rose past _PHI_RISE_ULPS) or "gradient" (O'Donoghue
 # and Candes, 2015).  momentum: the (p, q, r) of t_next = (p + sqrt(q + r t^2)) / 2, or
 # None for theta = 1 (Greedy FISTA, Liang, Luo and Schoenlieb, 2022).
@@ -88,7 +86,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
     step, restart, momentum = _RULES[method]
     z0 = check_start(problem, z0)
     start = time.monotonic()
-    L, gamma = config.L0, None
+    L, gamma = _L_FIRST, None
     if step is not None:
         if problem.known_L is None or problem.known_L <= 0:
             raise ValueError("fixed-step baselines need problem.known_L")
@@ -157,8 +155,11 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
         Y_prev = Y
 
     # y is a copy, so that it holds no lifted point's image alive
+    y = Y[pt].copy()
+    if math.isinf(oracle.h(y)):
+        raise RuntimeError(f"{method}: the prox oracle returned a point where h is inf")
     return SolveOutput(
-        y=Y[pt].copy(), v=v, L_final=L, cycles=restarts + 1, total_iters=j,
+        y=y, v=v, L_final=L, cycles=restarts + 1, total_iters=j,
         counters=oracle.counters, status=status, residual=residual,
         runtime_s=time.monotonic() - start,
     )

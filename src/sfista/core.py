@@ -32,9 +32,8 @@ _LS_SLACK = 1e-12
 # lies below its model with curvature (1 - chi) L / 2.  rpf-sfista's restart
 # test and bootstrap mu use the same chi.
 _CHI = 0.001
-# the first L of every method's line search: A-REG's first one and floor,
-# the baselines' L0, and rpf-sfista's first one (its floor comes from the
-# first step unless M_lower_init fixes it)
+# the first L of every line search: the baselines', and that of rpf-sfista's
+# first step, A-REG's inner solves included (their floor comes from that step)
 _L_FIRST = 10.0
 _L_OVERFLOW = 1e30
 _FLOAT = np.dtype(float)

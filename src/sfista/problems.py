@@ -153,9 +153,11 @@ def _calibrate_quadratic(H1: np.ndarray, H2: np.ndarray, mu_target: float, L_tar
 
     The condition ratio lambda_min / lambda_max of rho H1 + H2 is unimodal in
     rho = tau1/tau2 (mixing can only condition the sum up to a point), so a
-    log-grid scan locates the peak and a bisection on the increasing branch
-    solves ratio(rho) = mu_target / L_target; a global scaling then hits
-    L_target exactly.  Returns None when the target ratio exceeds the peak.
+    log-grid scan locates the peak and a bisection on whichever branch
+    crosses the target, the increasing one first, solves ratio(rho) =
+    mu_target / L_target; a global scaling then hits L_target exactly.
+    Returns None when the target ratio exceeds the peak or no grid point
+    lies below it.
     """
     target = mu_target / L_target
 

@@ -49,9 +49,8 @@ _BETA = 1.25
 class SfistaConfig:
     """Inputs and tuning knobs of the restarted solver.
 
-    M_lower_init, the floor of every cycle's first L, is fixed by a float
-    (A-REG passes one).  None, the default, starts at `core._L_FIRST` and,
-    from j = 2 on, sets L and the floor to the curvature along the first
+    No L is supplied: the first step starts at `core._L_FIRST`, and from
+    j = 2 on L and every cycle's floor are the curvature along the first
     accepted step (`_step_curvature`; `_L_FIRST` where it has none).
     mu0=None selects the bootstrap estimate computed from the first prox step
     of the first cycle; a positive float fixes the initial estimate.
@@ -61,7 +60,6 @@ class SfistaConfig:
     ||v|| <= eps_hat, 'relative' tests ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
 
-    M_lower_init: Optional[float] = None
     mu0: Optional[float] = None
     mu_shrink: float = 0.5
     eps_hat: float = 1e-8
@@ -72,8 +70,6 @@ class SfistaConfig:
 
     def __post_init__(self):
         # written as `not 0 < x < inf` so that NaN fails too
-        if self.M_lower_init is not None and not 0 < self.M_lower_init < math.inf:
-            raise ValueError("M_lower_init must be positive and finite")
         if self.mu0 is not None and not 0 < self.mu0 < math.inf:
             raise ValueError("fixed mu0 must be positive and finite")
         if not 0 < self.mu_shrink < 1:
@@ -120,9 +116,9 @@ def _step_curvature(
 ) -> float:
     """4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) ||d||^2), the curvature of f
     along d = y - x_tilde and the least L the line-search test accepts for
-    it: the bootstrap mu and, with M_lower_init=None, the floor.  The
-    fallback where y is numerically x_tilde or the gap is within the
-    line-search slack (a stationary start, a linear f, roundoff)."""
+    it: the bootstrap mu and the floor.  The fallback where y is
+    numerically x_tilde or the gap is within the line-search slack (a
+    stationary start, a linear f, roundoff)."""
     nd2 = float(d @ d)
     gap = f_y - ell_y
     if (math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
@@ -145,15 +141,6 @@ def restart_fires(
     return norm(xi - x0) ** 2 < _CHI * A * L * nd * nd
 
 
-def _clamp_m_lower(prev: float, floor: float) -> float:
-    """First L of a new cycle (or A-REG subproblem) after one that exited
-    with L = prev: 0.4 prev, raised to floor.  prev >= floor always holds:
-    from j = 2 on, L starts at its floor and the line search only raises it,
-    and A-REG's prev is the exit L of an inner solve whose floor is at least _L_FIRST.
-    So the result lies in [max(prev / 4, floor), prev]."""
-    return max(0.4 * prev, floor)
-
-
 def solve_sfista(
     problem: CompositeProblem, config: SfistaConfig, z0: np.ndarray
 ) -> SolveOutput:
@@ -166,7 +153,7 @@ def solve_sfista(
     with a smaller mu.  At a cap the output holds the last prox output y and
     its certificate v; xi stays the best point.  Raises RuntimeError when the
     step weight overflows, which a long enough cycle reaches through the
-    growth of A and tau.
+    growth of A and tau, and when h is inf at the returned y.
     """
     z0 = check_start(problem, z0)
 
@@ -176,10 +163,9 @@ def solve_sfista(
     denom = None
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
-    M_bar0 = config.M_lower_init  # the cycle floor; None until the first step
     mu = config.mu0  # None until bootstrapped
     cycle, j, total_iters = 1, 1, 0
-    A, tau, L, a = 0.0, 1.0, M_bar0 or _L_FIRST, 0.0
+    A, tau, L, a = 0.0, 1.0, _L_FIRST, 0.0
     # lifted points (CountingOracle.lift): the momentum point x, the previous
     # y, the best point xi and the cycle's start x0; Y is the last prox output
     X = Y_prev = XI = X0 = Y = oracle.lift(z0)
@@ -218,9 +204,9 @@ def solve_sfista(
 
         if total_iters == 1:
             # the curvature along the first step: mu's bootstrap (a0 and y1
-            # never depend on mu, as A0 = 0), and the floor if M_bar0 is None
-            curvature = _step_curvature(f_y, ell_y, y - x_tilde, x_tilde, M_bar0 or _L_FIRST)
-            mu = curvature if mu is None else mu
+            # never depend on mu, as A0 = 0) and every cycle's floor
+            floor = _step_curvature(f_y, ell_y, y - x_tilde, x_tilde, _L_FIRST)
+            mu = floor if mu is None else mu
 
         # the best-point tie (phi(y) equal to the incumbent) keeps y
         phi_y = f_y + oracle.h(y)
@@ -255,12 +241,14 @@ def solve_sfista(
                 v_norm=norm(v), phi_xi=phi_xi, restarted=restart,
                 y=y.copy(), s=s.copy(), mu=mu, gamma_y=phi_y + 2.0 * (ell_y - f_y),
             ))
-        if M_bar0 is None:  # from j = 2 on; this step kept the L it was taken with
-            M_bar0 = L = curvature
+        if total_iters == 1:  # from j = 2 on; this step kept the L it was taken with
+            L = floor
         if restart:
             cycle += 1
             j, A, tau, xi_moved = 1, 0.0, 1.0, False
-            L = _clamp_m_lower(L, M_bar0)
+            # L >= floor: from j = 2 on, L starts at the floor and the line
+            # search only raises it, so the new L lies in [max(L / 4, floor), L]
+            L = max(0.4 * L, floor)
             mu = config.mu_shrink * mu
             X = Y_prev = X0 = XI
             continue
@@ -280,6 +268,8 @@ def solve_sfista(
 
     # copies, so that an output holds no lifted point's image alive
     y = Y[pt].copy()
+    if math.isinf(oracle.h(y)):
+        raise RuntimeError("RPF-SFISTA: the prox oracle returned a point where h is inf")
     return SolveOutput(
         y=y, v=v, xi=y if XI is Y else XI[pt].copy(), L_final=L,
         cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,

@@ -100,6 +100,14 @@ def test_subproblem_rejects_bad_delta():
         build_subproblem(base, 0.0, np.zeros(2))
 
 
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+def test_subproblem_rejects_a_theta_of_the_wrong_shape(shape):
+    # (delta/2)||z - theta||^2 would broadcast theta against z
+    base = _free(lambda z: 0.0, lambda z: np.zeros(2), dim=2)
+    with pytest.raises(ValueError, match="expected vector of length 2"):
+        build_subproblem(base, 0.5, np.zeros(shape))
+
+
 # ---------------------------------------------------------------------------
 # outer_residual
 

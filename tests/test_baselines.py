@@ -65,7 +65,7 @@ def test_no_best_iterate_or_trace(solver):
 def test_bt_doubling_caps_L():
     # L stabilizes at most one doubling above what the inequality needs
     prob = _scalar_quadratic(c=100.0)
-    out = solve_fista_bt(prob, BaselineConfig(L0=10.0, eps_hat=1e-10), np.array([1.0]))
+    out = solve_fista_bt(prob, BaselineConfig(eps_hat=1e-10), np.array([1.0]))
     assert out.status == "converged"
     assert out.L_final <= 2.0 * 2.0 * 100.0 / (1.0 - 0.001)
 
@@ -161,15 +161,15 @@ def test_fixed_step_high_accuracy_on_lasso(solver):
 
 def test_counters_track_line_search():
     prob = _scalar_quadratic(c=100.0)
-    out = solve_fista_bt(prob, BaselineConfig(L0=1.0, eps_hat=1e-8), np.array([1.0]))
+    out = solve_fista_bt(prob, BaselineConfig(eps_hat=1e-8), np.array([1.0]))
     # rejected doublings consumed prox evaluations beyond one per iteration
     assert out.counters.prox_evals > out.total_iters
 
 
 @pytest.mark.parametrize("bad", [
-    {"L0": 0.0}, {"L0": -1.0}, {"L0": float("nan")}, {"eps_hat": -1.0},
+    {"eps_hat": 0.0}, {"eps_hat": -5e-324}, {"eps_hat": float("-inf")}, {"eps_hat": -1.0},
     {"eps_hat": float("nan")}, {"time_limit": float("nan")}, {"time_limit": -1.0},
-    {"L0": float("inf")},
+    {"time_limit": float("-inf")},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

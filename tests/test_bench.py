@@ -271,25 +271,25 @@ PINNED_COUNTS = {
     ("logistic", "fista-r"): (152, 5, 307, 304, 155),
     ("logistic", "rada"): (226, 4, 0, 452, 226),
     ("logistic", "greedy"): (130, 12, 0, 260, 130),
-    ("logistic", "a-reg"): (920, 15, 1898, 1865, 945),
+    ("logistic", "a-reg"): (1111, 27, 2340, 2277, 1166),
     ("lasso", "rpf-sfista"): (235, 3, 471, 470, 235),
     ("lasso", "fista-bt"): (498, 1, 996, 996, 498),
     ("lasso", "fista-r"): (154, 5, 308, 308, 154),
     ("lasso", "rada"): (109, 4, 0, 218, 109),
     ("lasso", "greedy"): (78, 13, 0, 156, 78),
-    ("lasso", "a-reg"): (4490, 22, 8991, 8980, 4490),
+    ("lasso", "a-reg"): (3630, 33, 7509, 7379, 3749),
     ("qp_simplex", "rpf-sfista"): (80, 2, 161, 160, 80),
     ("qp_simplex", "fista-bt"): (243, 1, 486, 486, 243),
     ("qp_simplex", "fista-r"): (82, 4, 164, 164, 82),
     ("qp_simplex", "rada"): (252, 4, 0, 504, 252),
     ("qp_simplex", "greedy"): (207, 13, 0, 414, 207),
-    ("qp_simplex", "a-reg"): (723, 12, 1455, 1446, 723),
+    ("qp_simplex", "a-reg"): (376, 10, 769, 756, 380),
     ("qp_box", "rpf-sfista"): (5482, 5, 10965, 10964, 5482),
     ("qp_box", "fista-bt"): (30971, 1, 61942, 61942, 30971),
     ("qp_box", "fista-r"): (3267, 4, 6534, 6534, 3267),
     ("qp_box", "rada"): (10920, 3, 0, 21840, 10920),
     ("qp_box", "greedy"): (8422, 22, 0, 16844, 8422),
-    ("qp_box", "a-reg"): (43051, 42, 86121, 86102, 43051),
+    ("qp_box", "a-reg"): (37705, 43, 76053, 75722, 38017),
 }
 
 

@@ -1,5 +1,6 @@
 """Composite problem abstraction: dimension checks, counters, phi, FD check,
-the solvers' NaN handling, and the oracle's output-shape check."""
+the solvers' NaN handling, the oracle's output-shape check and the
+solvers' check that h is finite at the point they return."""
 
 import math
 import struct
@@ -17,6 +18,7 @@ from sfista.baselines import (
     solve_greedy_fista,
     solve_rada_fista,
 )
+from sfista.bench import METHODS
 from sfista.core import (
     CompositeProblem,
     CountingOracle,
@@ -258,6 +260,24 @@ def test_wrong_output_shape_raises(solve, field_name, name, reshape, shown):
     for problem in problems:
         with pytest.raises(ValueError, match=f"the {name} oracle returned shape {shown}"):
             solve(problem, np.zeros(problem.dim))
+
+
+@pytest.mark.parametrize("method", [*METHODS, "a-reg"])
+def test_infeasible_prox_output_raises(method):
+    # the prox lands outside the box [0, 1]^2 that h is the indicator of: the
+    # solvers would otherwise stop at y = [3, 3], phi(y) = inf, as `converged`
+    box = CompositeProblem(
+        dim=2, f_eval=lambda z: 0.5 * float(z @ z), f_grad=lambda z: z.copy(),
+        h_prox=lambda p, lam: np.clip(p, 0.0, 1.0) + 2.0,
+        h_eval=lambda z: 0.0 if np.all((0.0 <= z) & (z <= 1.0)) else math.inf,
+        known_L=1.0,
+    )
+    z0 = np.zeros(2)
+    with pytest.raises(RuntimeError, match="the prox oracle returned a point where h is inf"):
+        if method == "a-reg":
+            solve_areg(box, ARegConfig(), z0)
+        else:
+            METHODS[method](box, z0, 1e-8, 7200.0)
 
 
 @pytest.mark.parametrize("solve", [

@@ -26,10 +26,10 @@ def _scalar_quadratic(c=1.0):
     )
 
 
-def _steps(prob, z0, iters, L):
-    """The first `iters` iterations of a solve that enters with L and mu = 1."""
-    cfg = SfistaConfig(M_lower_init=L, mu0=1.0, eps_hat=1e-300,
-                       max_total_iters=iters, trace=True)
+def _steps(prob, z0, iters):
+    """The first `iters` iterations of a solve with mu = 1; the first step
+    enters with L = _L_FIRST = 10."""
+    cfg = SfistaConfig(mu0=1.0, eps_hat=1e-300, max_total_iters=iters, trace=True)
     return solve_sfista(prob, cfg, np.array(z0, dtype=float))
 
 
@@ -47,8 +47,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SfistaConfig(residual_mode="bogus")
     nan, inf = float("nan"), float("inf")
-    for bad in ({"eps_hat": nan}, {"M_lower_init": nan}, {"mu0": nan},
-                {"M_lower_init": inf}, {"mu0": inf},
+    for bad in ({"eps_hat": nan}, {"mu0": nan}, {"mu0": inf},
                 {"time_limit": nan}, {"time_limit": -1.0}):
         with pytest.raises(ValueError):
             SfistaConfig(**bad)
@@ -60,30 +59,30 @@ def test_config_validation():
 
 
 def test_a_formula_at_cycle_start():
-    # tau=1, A=0, L=4 -> a = (1 + sqrt(1)) / 8 = 0.25
-    row = _steps(_scalar_quadratic(c=1.0), [1.0], 1, L=4.0).trace[0]
-    assert row.a == pytest.approx(0.25)
-    assert row.L == pytest.approx(4.0)  # curvature 1, L=4 passes at first try
+    # tau=1, A=0, L=10 -> a = (1 + sqrt(1)) / 20 = 0.1
+    row = _steps(_scalar_quadratic(c=2.5), [1.0], 1).trace[0]
+    assert row.a == pytest.approx(0.1)
+    assert row.L == 10.0  # curvature 2.5, L=10 passes at first try
     np.testing.assert_allclose(row.y + row.s / row.L, [1.0])  # x_tilde = z0
 
 
 def test_backtracking_increases_L_when_needed():
-    # curvature 100 with entering L=1 forces several beta multiplications;
+    # curvature 1000 with entering L=10 forces several beta multiplications;
     # accepted L is the smallest beta-power for which the inequality holds
-    out = _steps(_scalar_quadratic(c=100.0), [1.0], 1, L=1.0)
+    out = _steps(_scalar_quadratic(c=1000.0), [1.0], 1)
     L = out.trace[0].L
-    assert L > 1.0
+    assert L > 10.0
     # the worst-case overshoot 2 beta / (1 - chi) of the curvature, times beta
-    assert L <= 2.0 * 1.25 / (1.0 - 0.001) * 100.0 * 1.25
+    assert L <= 2.0 * 1.25 / (1.0 - 0.001) * 1000.0 * 1.25
     # the prior beta step must have failed: L/beta violates the inequality
-    k = round(math.log(L) / math.log(1.25))
-    assert L == pytest.approx(1.25 ** k)
+    k = round(math.log(L / 10.0) / math.log(1.25))
+    assert L == pytest.approx(10.0 * 1.25 ** k)
     # rejected line-search tries each consumed one prox evaluation
     assert out.counters.prox_evals == k + 1
 
 
 def test_backtracking_counts_rejections():
-    out = _steps(_scalar_quadratic(c=10.0), [1.0], 1, L=40.0)
+    out = _steps(_scalar_quadratic(c=2.5), [1.0], 1)
     assert out.counters.prox_evals == 1  # 4x curvature passes immediately
 
 
@@ -98,7 +97,7 @@ def test_line_search_overflow_raises():
         h_eval=lambda z: 0.0,
     )
     with pytest.raises(RuntimeError, match="line search exceeded L = 1e30"):
-        _steps(prob, [1.0], 1, L=1.0)
+        _steps(prob, [1.0], 1)
 
 
 def test_step_weight_overflow_raises():
@@ -107,21 +106,21 @@ def test_step_weight_overflow_raises():
     # step weight would make x_tilde NaN
     prob, z0 = make_instance(InstanceSpec("logistic", 100, 60, 44))
     with pytest.raises(RuntimeError, match=r"RPF-SFISTA: the step weight overflowed in cycle 2 "
-                       r"at j = 1912 \(A = 5.87e\+152, tau = 1.47e\+153, L = 72.8\)"):
+                       r"at j = 2054 \(A = 4.72e\+152, tau = 1.18e\+153, L = 84.1\)"):
         solve_areg(prob, ARegConfig(eps=1e-14), z0)
 
 
 def test_momentum_update_worked_example():
-    # 1-D hand-evaluated first step: x_0 = 1, L = 4, mu = 1, tau_0 = 1,
-    # A_0 = 0, so a = 0.25, x_tilde = 1 and y = 1 - 1/4
-    rows = _steps(_scalar_quadratic(), [1.0], 3, L=4.0).trace
+    # 1-D hand-evaluated first step at curvature 2.5: x_0 = 1, L = 10,
+    # mu = 1, tau_0 = 1, A_0 = 0, so a = 0.1, x_tilde = 1 and y = 1 - 2.5/10
+    rows = _steps(_scalar_quadratic(c=2.5), [1.0], 3).trace
     first = rows[0]
     np.testing.assert_allclose(first.y, [0.75])
-    assert first.tau == pytest.approx(1.125)  # tau_0 + a mu / 2
-    np.testing.assert_allclose(first.s, [1.0])  # L (x_tilde - y) = 4 * 0.25
-    assert first.A == pytest.approx(0.25)
-    # xi updated: phi(y) = 0.28125 < 0.5
-    assert first.phi_xi == pytest.approx(0.28125)
+    assert first.tau == pytest.approx(1.05)  # tau_0 + a mu / 2
+    np.testing.assert_allclose(first.s, [2.5])  # L (x_tilde - y) = 10 * 0.25
+    assert first.A == pytest.approx(0.1)
+    # xi updated: phi(y) = 1.25 * 0.5625 = 0.703125 < 1.25
+    assert first.phi_xi == pytest.approx(0.703125)
 
     def x_from_next(row, nxt):
         # x_tilde = (A y + a x) / (A + a) at the next step, with x_tilde = y + s / L
@@ -139,7 +138,7 @@ def test_momentum_update_worked_example():
 
 
 def test_momentum_fixed_point_gives_zero_residual():
-    out = _steps(_scalar_quadratic(), [0.0], 1, L=2.0)
+    out = _steps(_scalar_quadratic(), [0.0], 1)
     np.testing.assert_array_equal(out.trace[0].s, [0.0])
     np.testing.assert_array_equal(out.v, [0.0])
 
@@ -194,13 +193,13 @@ def test_bootstrap_scales_with_curvature():
 
 def test_bootstrap_linear_f_falls_back():
     prob = _free_problem(lambda z: float(z[0]), lambda z: np.ones(1), dim=1)
-    mu = _bootstrapped_mu(prob, [1.0], M_lower_init=10.0)
-    assert mu == 10.0
+    mu = _bootstrapped_mu(prob, [1.0])
+    assert mu == _L_FIRST
 
 
 def test_bootstrap_stationary_start_falls_back():
-    mu = _bootstrapped_mu(_scalar_quadratic(), [0.0], M_lower_init=3.0)
-    assert mu == 3.0
+    mu = _bootstrapped_mu(_scalar_quadratic(), [0.0])
+    assert mu == _L_FIRST
 
 
 def _rising_problem(ulps):
@@ -225,22 +224,19 @@ def _rising_problem(ulps):
 def test_bootstrap_a_rise_of_a_few_ulps_falls_back(ulps):
     # a gap within the line-search slack is roundoff, not curvature: mu is
     # the fallback, where the quotient would give ~1e-15
-    mu = _bootstrapped_mu(_rising_problem(ulps), [0.0], M_lower_init=3.0)
-    assert mu == 3.0
+    mu = _bootstrapped_mu(_rising_problem(ulps), [0.0])
+    assert mu == _L_FIRST
 
 
 @pytest.mark.parametrize("ulps", [1, 4, 5])
 def test_measured_floor_ignores_a_rise_of_a_few_ulps(ulps):
     # taken as curvature, the gap would set L to ~1e-15 and the residual
-    # with it, and the solve would report `converged`
-    def run(M_lower_init):
-        cfg = SfistaConfig(M_lower_init=M_lower_init, max_total_iters=10)
-        out = solve_sfista(_rising_problem(ulps), cfg, np.zeros(1))
-        c = out.counters
-        return out.status, out.total_iters, out.cycles, c.f_evals, c.grad_evals, c.prox_evals, out.L_final
-
-    assert run(None) == run(_L_FIRST)
-    assert run(None)[:3] == ("iter_cap", 10, 1)
+    # with it, and the solve would report `converged`.  Read as roundoff, it leaves the floor at the fallback _L_FIRST: every
+    # step passes at its first trial and no restart fires
+    out = solve_sfista(_rising_problem(ulps), SfistaConfig(max_total_iters=10), np.zeros(1))
+    c = out.counters
+    assert (out.status, out.total_iters, out.cycles) == ("iter_cap", 10, 1)
+    assert (c.f_evals, c.grad_evals, c.prox_evals, out.L_final) == (21, 20, 10, _L_FIRST)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +348,10 @@ def test_invariant_AL_growth():
         assert row.A * row.L >= row.j ** 2 / 4.0 - 1e-9
 
 
-def test_invariant_L_nondecreasing_within_cycle():
-    # and never below its floor, which restarts (_clamp_m_lower) rely on
-    _, out = _traced_lasso(M_lower_init=_L_FIRST)
-    assert out.cycles > 1
-    prev_cycle, prev_L = None, None
-    for row in out.trace:
-        assert row.L >= _L_FIRST
-        if row.cycle == prev_cycle:
-            assert row.L >= prev_L - 1e-15
-        prev_cycle, prev_L = row.cycle, row.L
-
-
 def test_first_step_curvature_is_the_next_L_and_the_floor():
-    # M_lower_init=None: the first L is _L_FIRST; from j = 2 on, L and every
-    # cycle's floor start at c, the curvature along the first accepted step
+    # the first L is _L_FIRST; from j = 2 on, L and every cycle's floor start
+    # at c, the curvature along the first accepted step.  Within a cycle L
+    # never falls, and never below c: a restart's max(0.4 L, floor) relies on it
     prob, z0 = make_instance(InstanceSpec("lasso", 60, 120, 42, C=5.0))
     cfg = SfistaConfig(eps_hat=1e-8, residual_mode="relative", mu_shrink=0.1, trace=True)
     out = solve_sfista(prob, cfg, z0)

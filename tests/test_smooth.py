@@ -217,11 +217,11 @@ def _agree(family, problem, a, va, b, vb, best=None):
 def test_replaced_oracles_fall_back_with_identical_iterates(family, method):
     # the fallback evaluates f and grad f at every point from the problem's own
     # oracles, where the fused path carries images.  Equal counts need equal
-    # arithmetic, which carrying gives up: on qp_box rpf-sfista with
-    # M_lower_init=10 takes 1,290 iterations carried and 1,313 unfused (the
-    # default takes 1,619 both ways), as a line-search decision settled
-    # at roundoff level flips.  Both converge, to answers that agree as far
-    # as their certificates allow (A-REG's r lies in dphi(w) too).
+    # arithmetic, which carrying gives up: a line-search, restart or
+    # best-point decision settled at roundoff level can flip (on qp_box
+    # rpf-sfista takes 1,619 iterations both ways).  Both converge, to answers
+    # that agree as far as their certificates allow (A-REG's r lies in
+    # dphi(w) too).
     problem, z0 = _instance(family)
     plain = _plain(problem)
     assert smooth_of(plain).image(z0).size == 0  # the unfused fallback
@@ -281,28 +281,32 @@ _SOLVERS = {
 }
 
 
-def _capped_solve(method, problem, z0, L0, iters):
-    # an initial L above 2 L_f / (1 - chi) accepts every first trial, so each
-    # iteration runs one line-search trial (checked through prox_evals)
+def _capped_solve(method, problem, z0, iters):
     if method == "rpf-sfista":
-        cfg = SfistaConfig(M_lower_init=L0, eps_hat=1e-300, max_total_iters=iters)
+        cfg = SfistaConfig(eps_hat=1e-300, max_total_iters=iters)
         out = solve_sfista(problem, cfg, z0)
     else:
-        cfg = BaselineConfig(L0=L0, eps_hat=1e-300, max_total_iters=iters)
+        cfg = BaselineConfig(eps_hat=1e-300, max_total_iters=iters)
         out = _SOLVERS[method](problem, cfg, z0)
-    assert out.total_iters == out.counters.prox_evals == iters
+    assert out.total_iters == iters
     return out
 
 
-def _per_iteration(method, problem, z0, counts):
-    """The growth of the entries of counts per iteration, from 10 to 30."""
+def _per_iteration(method, problem, z0, counts, per_trial):
+    """What an iteration whose first line-search trial is accepted adds to
+    each entry of counts: the growth over the first 20 iterations, less
+    per_trial[key] for each rejected trial.  Each trial is one prox call
+    (prox_evals), so both rates hold whether or not a trial is rejected."""
     used = []
-    for iters in (10, 30):
+    for iters in (0, 20):
         for key in counts:
             counts[key] = 0
-        _capped_solve(method, problem, z0, 4.0 * problem.known_L, iters)
-        used.append(dict(counts))
-    return {key: (used[1][key] - used[0][key]) / 20 for key in counts}
+        out = _capped_solve(method, problem, z0, iters)
+        used.append(dict(counts, trials=out.counters.prox_evals))
+    rejected = used[1]["trials"] - used[0]["trials"] - 20
+    assert rejected >= 0
+    return {key: (used[1][key] - used[0][key] - per_trial[key] * rejected) / 20
+            for key in counts}
 
 
 @pytest.mark.parametrize("method,unfused", [
@@ -310,14 +314,19 @@ def _per_iteration(method, problem, z0, counts):
 ])
 def test_lasso_iteration_matvecs(method, unfused):
     # fused, only y's fresh image, r = Ay - b and the gradient A'r, costs
-    # products: 2 per iteration; unfused, f and grad f each cost both at each
-    # point taken
+    # products: 2 per trial and none beyond; unfused, f and grad f each cost
+    # both at each point taken.  An unfused trial evaluates f at y, and in
+    # rpf-sfista f and grad f at x_tilde, which moves with L: 6 products a
+    # trial there, 2 in fista-bt and fista-r, which evaluate x_tilde once
+    # per iteration.  unfused is the cost of an iteration of one trial
     rng = np.random.default_rng(5)
     counts = {"products": 0}
     A = rng.standard_normal((20, 40))
     problem, z0 = gen_lasso(_CountingMatrix(A, counts), rng.standard_normal(20), 2.0, seed=5)
-    assert _per_iteration(method, problem, z0, counts) == {"products": 2}
-    assert _per_iteration(method, _plain(problem), z0, counts) == {"products": unfused}
+    fused = {"products": 2}
+    assert _per_iteration(method, problem, z0, counts, fused) == fused
+    per_trial = {"products": {"rpf-sfista": 6, "fista-bt": 2, "fista-r": 2}.get(method, 0)}
+    assert _per_iteration(method, _plain(problem), z0, counts, per_trial) == {"products": unfused}
 
 
 def _counting(problem, z0, counts):
@@ -349,11 +358,14 @@ def _counting(problem, z0, counts):
 ])
 @pytest.mark.parametrize("method", _METHODS)
 def test_image_and_grad_calls_per_iteration(family, image, grad, method):
-    # every image is carried, so only y gets a fresh one; a quadratic's
-    # gradient is a block of its image, so only y's is computed, where
-    # logistic computes grad f at x_tilde from its carried image as well.
-    # The A-REG subproblem's grad adds delta (z - theta) to its base's
-    # gradient block, which is counted on the base
+    # every image is carried, so only y gets a fresh one, at each
+    # line-search trial; a quadratic's gradient is a block of its image, so
+    # only y's is computed, where logistic computes grad f at x_tilde from its
+    # carried image as well: at each trial in rpf-sfista, whose x_tilde moves
+    # with L, once per iteration in the others.  image and grad are the
+    # counts of an iteration of one trial.  The A-REG subproblem's grad adds
+    # delta (z - theta) to its base's gradient block, which is counted on
+    # the base
     counts = {"image": 0, "grad": 0}
     if family == "a-reg subproblem":
         base, z0 = _instance("lasso")
@@ -361,4 +373,5 @@ def test_image_and_grad_calls_per_iteration(family, image, grad, method):
     else:
         problem, z0 = _instance(family)
         problem = _counting(problem, z0, counts)
-    assert _per_iteration(method, problem, z0, counts) == {"image": image, "grad": grad}
+    per_trial = {"image": 1, "grad": int(family != "logistic" or method == "rpf-sfista")}
+    assert _per_iteration(method, problem, z0, counts, per_trial) == {"image": image, "grad": grad}
