@@ -348,6 +348,21 @@ def test_invariant_AL_growth():
         assert row.A * row.L >= row.j ** 2 / 4.0 - 1e-9
 
 
+def test_invariant_L_nondecreasing_within_cycle():
+    # from j = 2 on, and never below the floor (the first step's curvature,
+    # the L of row 2), which a restart's max(0.4 L, floor) relies on
+    _, out = _traced_lasso()
+    assert out.cycles > 1
+    assert out.trace[0].L == _L_FIRST
+    floor = out.trace[1].L
+    prev_cycle, prev_L = None, None
+    for row in out.trace[1:]:
+        assert row.L >= floor
+        if row.cycle == prev_cycle:
+            assert row.L >= prev_L
+        prev_cycle, prev_L = row.cycle, row.L
+
+
 def test_first_step_curvature_is_the_next_L_and_the_floor():
     # the first L is _L_FIRST; from j = 2 on, L and every cycle's floor start
     # at c, the curvature along the first accepted step.  Within a cycle L
