@@ -10,11 +10,14 @@ Each line names the instance, method and eps, then the status, the iteration
 and cycle counts, the three oracle counters and a SHA-256 (16 hex digits) of
 the output's bytes: y, v, xi (y where it is None), L_final and the residual
 (for A-REG: w, r and those of every inner output).  The runs cover every
-`bench.METHODS` entry and A-REG on the four `desk_suite` families at seed 42.  `--eps 1e-8,1e-13` adds the
-high-accuracy runs, which take about 20 minutes on one core (fista-bt needs
-up to 920,000 iterations on the box QPs).  The hashes depend on the BLAS
-build, so compare two runs on one machine only.  The script pins BLAS to one
-thread, which keeps them reproducible.
+`bench.METHODS` entry and A-REG on the four `desk_suite` families at instance
+seed 42.  `--seed` picks another instance seed, and `--family qp_box --family
+qp_simplex` keeps the named families only, so a change to one generator can
+be checked at seeds kept back from development in minutes.
+`--eps 1e-8,1e-13` adds the high-accuracy runs, which take about 20 minutes
+on one core (fista-bt needs up to 920,000 iterations on the box QPs).  The
+hashes depend on the BLAS build, so compare two runs on one machine only.
+The script pins BLAS to one thread, which keeps them reproducible.
 """
 
 from __future__ import annotations
@@ -70,9 +73,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=4, help="instances per family")
     parser.add_argument("--eps", default="1e-8", help="comma-separated tolerances")
+    parser.add_argument("--seed", type=int, default=42, help="instance seed of the desk grids")
+    parser.add_argument("--family", action="append", choices=FAMILIES,
+                        help="a family to run, repeatable (default: all four)")
     args = parser.parse_args(argv)
-    for family in FAMILIES:
-        for spec in desk_suite(family, 42, args.count):
+    for family in args.family or FAMILIES:
+        for spec in desk_suite(family, args.seed, args.count):
             problem, z0 = make_instance(spec)
             for eps in (float(e) for e in args.eps.split(",")):
                 for method in [*METHODS, "a-reg"]:

@@ -56,6 +56,8 @@ class BaselineConfig:
     def __post_init__(self):
         if not self.eps_hat > 0:
             raise ValueError("eps_hat must be positive")
+        if not self.max_total_iters >= 0:
+            raise ValueError("max_total_iters must be nonnegative")
         if not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
 

@@ -170,6 +170,10 @@ class BoxHyperplane(ConvexSet):
     A root inside a segment gets the closed form of the same F either way,
     so both give the same bytes.  Newton passes cost more than the search
     only when many coordinates sit at the box bound.
+
+    Input with NaN or infinite entries raises a ValueError, and so does input
+    so large (entries beyond about 1e300 / n, for a of moderate size) that
+    the multiplier overflows or v - lam*a rounds a'z = b away.
     """
 
     def __init__(self, a, b: float, r: float):
@@ -202,11 +206,31 @@ class BoxHyperplane(ConvexSet):
         self._r_abs_a = r * np.abs(an)
         self._r_tol = r * (1.0 + _FEAS_TOL)
         self._eq_tol = _FEAS_TOL * (1.0 + abs(b) + np.linalg.norm(a) * r)
+        # below this max |v_i| no step of the search can overflow: each is at
+        # most about n max(1, ||a||^2) / min(1, min |a_i|)^2 times max |v_i|
+        self._v_safe = 1e300 * min(1.0, float(np.abs(an).min())) ** 2 / (an.size * max(1.0, a2_sum))
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if not np.isfinite(v).all():
-            raise ValueError("cannot project a vector with NaN or infinite entries")
+        # one reduction screens out NaN, inf and huge entries alike
+        v_max = np.maximum.reduce(np.abs(v))
+        if not v_max <= self._v_safe:
+            if not np.isfinite(v).all():
+                raise ValueError("cannot project a vector with NaN or infinite entries")
+            # z = clip(v - lam a) with a'z = b is the projection; at this
+            # size lam may overflow, or v - lam a round a'z = b away
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    z = self._project(v)
+            except FloatingPointError:
+                z = None
+            if z is None or not self.contains(z):
+                raise ValueError(f"cannot project a vector with max |v_i| = {v_max:.3g}: "
+                                 "its multiplier overflows or rounds a'z = b away")
+            return z
+        return self._project(v)
+
+    def _project(self, v: np.ndarray) -> np.ndarray:
         an, vn = self._an, v[self._nz]
         # coordinate i is free for lam in [enter_i, leave_i], at +r sign(a_i)
         # before and at -r sign(a_i) after

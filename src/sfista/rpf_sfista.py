@@ -78,6 +78,8 @@ class SfistaConfig:
             raise ValueError("eps_hat must be positive")
         if self.residual_mode not in ("absolute", "relative"):
             raise ValueError(f"unknown residual_mode {self.residual_mode!r}")
+        if not self.max_total_iters >= 0:
+            raise ValueError("max_total_iters must be nonnegative")
         if not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
 

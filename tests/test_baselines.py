@@ -169,7 +169,7 @@ def test_counters_track_line_search():
 @pytest.mark.parametrize("bad", [
     {"eps_hat": 0.0}, {"eps_hat": -5e-324}, {"eps_hat": float("-inf")}, {"eps_hat": -1.0},
     {"eps_hat": float("nan")}, {"time_limit": float("nan")}, {"time_limit": -1.0},
-    {"time_limit": float("-inf")},
+    {"time_limit": float("-inf")}, {"max_total_iters": -5},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

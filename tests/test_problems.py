@@ -182,20 +182,75 @@ def test_lasso_random_reproducible():
 # QP families
 
 
+def _oracle_hessian(prob):
+    # exact for a quadratic: column i is grad f(e_i) - grad f(0)
+    n = prob.dim
+    g0 = prob.f_grad(np.zeros(n))
+    H = np.column_stack([prob.f_grad(e) - g0 for e in np.eye(n)])
+    return 0.5 * (H + H.T)
+
+
 def test_qp_simplex_calibration_within_one_percent():
     prob, z0 = gen_qp_simplex(50, 100, 1.0, 1e-2, 1e2, seed=0)
     # measure the extreme eigenvalues directly from the oracle
-    n = prob.dim
-    H = np.empty((n, n))
-    e = np.eye(n)
-    g0 = prob.f_grad(np.zeros(n))  # affine part of the gradient
-    for i in range(n):
-        H[:, i] = prob.f_grad(e[i]) - g0
-    w = np.linalg.eigvalsh(0.5 * (H + H.T))
+    w = np.linalg.eigvalsh(_oracle_hessian(prob))
     assert w[-1] == pytest.approx(1e2, rel=1e-2)
     assert w[0] == pytest.approx(1e-2, rel=1e-2)
     assert prob.known_L == pytest.approx(w[-1], rel=1e-6)
     assert prob.known_mu_f == pytest.approx(w[0], rel=1e-4)
+
+
+def test_qp_box_calibration_within_one_percent():
+    # m = n/2 leaves the least-squares block rank deficient: the increasing branch
+    prob, z0 = gen_qp_box(40, 80, "last1", 5.0, 0.0, 1e-4, 1e2, seed=42)
+    w = np.linalg.eigvalsh(_oracle_hessian(prob))
+    assert w[-1] == pytest.approx(1e2, rel=1e-2)
+    assert w[0] == pytest.approx(1e-4, rel=1e-2)
+    assert prob.known_L == pytest.approx(w[-1], rel=1e-6)
+    assert prob.known_mu_f == pytest.approx(w[0], rel=1e-4)
+
+
+def _record_calibrations(monkeypatch):
+    """[eigvalsh calls, result] of each curvature calibration from now on."""
+    import sfista.problems as problems
+
+    calls = []
+    eigvalsh, calibrate = np.linalg.eigvalsh, problems._calibrate_quadratic
+
+    def counted_eigvalsh(a):
+        calls[-1][0] += 1
+        return eigvalsh(a)
+
+    def recorded(*args):
+        calls.append([0, None])
+        calls[-1][1] = calibrate(*args)
+        return calls[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(problems, "_calibrate_quadratic", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("spec", sfista.desk_suite("qp_box") + sfista.desk_suite("qp_simplex"),
+                         ids=lambda spec: spec.instance_id)
+def test_desk_qp_calibration_meets_its_targets(spec, monkeypatch):
+    calls = _record_calibrations(monkeypatch)
+    prob, _ = make_instance(spec)
+    assert prob.known_mu_f >= spec.mu_target
+    assert prob.known_L == spec.L_target
+    # one draw, calibrated by a 25-point scan and a few secant steps: a finer
+    # scan or a bisection in place of the secant would pass 40 decompositions
+    assert len(calls) == 1 and calls[0][0] <= 40
+
+
+def test_calibration_refines_a_scan_peak_below_the_target(monkeypatch):
+    # on this draw the ratio peaks at 5.93e-5 near rho = 10^-5.5, while the
+    # decade points reach only 4.86e-5 (rho = 1e-5): a target of 5.5e-5 is met
+    # on the quarter-decade points about the peak, with no redraw
+    calls = _record_calibrations(monkeypatch)
+    prob, _ = gen_qp_box(40, 80, "last1", 5.0, 0.0, 5.5e-3, 1e2, seed=42)
+    assert len(calls) == 1
+    assert prob.known_mu_f >= 5.5e-3 and prob.known_L == 1e2
 
 
 def test_qp_simplex_start_feasible():
@@ -410,6 +465,17 @@ def test_building_logistic_and_lasso_loads_no_scipy():
     src = str(Path(sfista.__file__).resolve().parents[1])
     code = ("import sys; import sfista; "
             "[sfista.make_instance(sfista.desk_suite(f, count=1)[0]) for f in ('lasso', 'logistic')]; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
+def test_building_qps_loads_no_scipy():
+    # the curvature calibration's eigenvalues come from numpy alone
+    src = str(Path(sfista.__file__).resolve().parents[1])
+    code = ("import sys; import sfista; "
+            "[sfista.make_instance(sfista.desk_suite(f, count=1)[0]) for f in ('qp_box', 'qp_simplex')]; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout

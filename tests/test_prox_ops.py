@@ -228,6 +228,18 @@ def test_huge_finite_input_projects():
             [1.0, 1.0, -1.0, -1.0])
 
 
+@pytest.mark.parametrize("a,b,v", [
+    ([1e-3, 2.0, -3.0], 0.5, [1e308, -1e308, 1e308]),  # the kinks v_i / a_i overflow
+    ([1.0, 1.0, 1.0], 0.0, [1e308, 1e308, -1e308]),  # so does the spread of the kinks
+    ([1.0, 1.0, 1.0], 0.0, [1e307, 1e307, -1e307]),  # v - lam*a rounds a'z = b away
+], ids=["divide", "subtract", "roundoff"])
+def test_box_hyperplane_rejects_input_too_large_to_project(a, b, v):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="cannot project a vector with max"):
+            BoxHyperplane(np.array(a), b, 1.0).project(np.array(v))
+
+
 def test_bad_radius_raises():
     with pytest.raises(ValueError):
         L1Ball(0.0).project(np.ones(3))

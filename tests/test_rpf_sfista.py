@@ -48,7 +48,7 @@ def test_config_validation():
         SfistaConfig(residual_mode="bogus")
     nan, inf = float("nan"), float("inf")
     for bad in ({"eps_hat": nan}, {"mu0": nan}, {"mu0": inf},
-                {"time_limit": nan}, {"time_limit": -1.0}):
+                {"time_limit": nan}, {"time_limit": -1.0}, {"max_total_iters": -5}):
         with pytest.raises(ValueError):
             SfistaConfig(**bad)
     SfistaConfig(time_limit=0.0)  # A-REG's inner solves may get no time left
