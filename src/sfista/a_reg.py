@@ -92,7 +92,8 @@ def build_subproblem(
     """Strongly convex subproblem: smooth part plus (delta/2)||z - theta||^2.
 
     Its image is the base problem's (`smooth_of`); value and grad add the
-    proximal term at the point itself.
+    proximal term at the point itself.  Its known_L, the base's plus delta,
+    is computed on first read, so building it never reads the base's.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -118,7 +119,7 @@ def build_subproblem(
         f_grad=smooth.f_grad,
         h_prox=problem.h_prox,
         h_eval=problem.h_eval,
-        known_L=None if problem.known_L is None else problem.known_L + delta,
+        known_L=lambda: None if problem.known_L is None else problem.known_L + delta,
         known_mu_f=delta + (problem.known_mu_f or 0.0),
     )
 

@@ -79,6 +79,26 @@ class SmoothFunction:
         return self.grad(z, self.image(z))
 
 
+class _OnFirstRead:
+    """A dataclass field that may be given as a zero-argument callable: its
+    first read calls it and keeps the result.  A concurrent first read may
+    call it twice."""
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self._slot]
+        if callable(value):
+            value = obj.__dict__[self._slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class CompositeProblem:
     """Oracle bundle for min f(z) + h(z).
@@ -87,6 +107,12 @@ class CompositeProblem:
     returns argmin_u h(u) + ||u - p||^2 / (2 lam); for indicator h this is the
     Euclidean projection and is independent of lam.  f_eval and f_grad may be
     plain callables or the `f_eval` and `f_grad` of one SmoothFunction.
+
+    known_L may be given as a zero-argument callable, which the first read of
+    `problem.known_L` calls; the attribute then reads as its float (or None).
+    The logistic and lasso generators pass their Lanczos estimate of ||A||^2
+    this way, so that a solve that finds L by line search never runs it;
+    rada, greedy and `bench run` read it.
     """
 
     dim: int
@@ -94,7 +120,7 @@ class CompositeProblem:
     f_grad: Callable[[np.ndarray], np.ndarray]
     h_prox: Callable[[np.ndarray, float], np.ndarray]
     h_eval: Callable[[np.ndarray], float]
-    known_L: Optional[float] = None
+    known_L: Optional[float] = _OnFirstRead()
     known_mu_f: Optional[float] = None
 
     def __post_init__(self):

@@ -76,7 +76,8 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
 
     f(z) = sum_i log(1 + exp(-b_i <a_i, z>)) with features drawn U[0,1] and
     labels given by the sign of a random hyperplane.  The gradient Lipschitz
-    constant is 0.25 * lambda_max(D'D) with D_ij = -a_i^j b_i.
+    constant is 0.25 * lambda_max(D'D) with D_ij = -a_i^j b_i; known_L, its
+    Lanczos estimate, is computed on first read.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
@@ -87,7 +88,6 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
     labels = np.sign(A @ w_true - np.median(A @ w_true))
     labels[labels == 0] = 1.0
     D = -A * labels[:, None]
-    L = 0.25 * opnorm_sq(lambda v: D @ v, lambda v: D.T @ v, n)
 
     smooth = SmoothFunction(
         image=lambda z: D @ z,
@@ -96,7 +96,8 @@ def gen_logistic(m: int, n: int, C: float, seed: int) -> Tuple[CompositeProblem,
     )
     problem = CompositeProblem(
         dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
-        h_prox=ball.prox, h_eval=ball.indicator, known_L=L, known_mu_f=0.0,
+        h_prox=ball.prox, h_eval=ball.indicator, known_mu_f=0.0,
+        known_L=lambda: 0.25 * opnorm_sq(lambda v: D @ v, lambda v: D.T @ v, n),
     )
     z0 = _random_l1_point(rng, n, C)
     return problem, z0
@@ -108,7 +109,8 @@ def gen_lasso(
     """Least squares f(z) = ||Az - b||^2 / 2 over the l1 ball of radius C.
 
     Accepts a dense array or a scipy sparse matrix.  The image of z is the
-    residual r = Az - b followed by the gradient A'r.
+    residual r = Az - b followed by the gradient A'r.  known_L, the Lanczos
+    estimate of ||A||^2, is computed on first read.
     """
     ball = L1Ball(C)
     b = np.asarray(b, dtype=float)
@@ -116,7 +118,6 @@ def gen_lasso(
     if b.shape != (m,):
         raise ValueError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
     At = A.T
-    L = opnorm_sq(lambda v: A @ v, lambda v: At @ v, n)
 
     def image(z):
         r = A @ z - b
@@ -129,7 +130,8 @@ def gen_lasso(
     )
     problem = CompositeProblem(
         dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
-        h_prox=ball.prox, h_eval=ball.indicator, known_L=L, known_mu_f=0.0,
+        h_prox=ball.prox, h_eval=ball.indicator, known_mu_f=0.0,
+        known_L=lambda: opnorm_sq(lambda v: A @ v, lambda v: At @ v, n),
     )
     rng = np.random.default_rng(seed)
     z0 = _random_l1_point(rng, n, C)

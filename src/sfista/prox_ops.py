@@ -172,8 +172,11 @@ class BoxHyperplane(ConvexSet):
     only when many coordinates sit at the box bound.
 
     Input with NaN or infinite entries raises a ValueError, and so does input
-    so large (entries beyond about 1e300 / n, for a of moderate size) that
-    the multiplier overflows or v - lam*a rounds a'z = b away.
+    so large that the multiplier overflows or v - lam*a rounds a'z = b away:
+    past the size where roundoff could break a'z = b (for a of ones, about
+    1e-9 r / (4 n^1.5 eps): 8e3 at n = 80, r = 5), each result is checked with
+    `contains`, so every projection returns a member of the set or raises.
+    A normal whose squares or kinks overflow is rejected.
     """
 
     def __init__(self, a, b: float, r: float):
@@ -184,13 +187,21 @@ class BoxHyperplane(ConvexSet):
             raise ValueError("hyperplane normal a must be finite")
         if not np.any(a):
             raise ValueError("hyperplane normal a must be nonzero")
+        nz = np.flatnonzero(a)
+        a_abs = np.abs(a[nz])
+        lo, hi = float(a_abs.min()), float(a_abs.max())
+        # a_i^2 must be nonzero, and ||a||^2, r ||a||_1 and the kinks
+        # (z_i -+ r) / a_i of every point of the box finite
+        if not (lo * lo > 0 and a_abs.size * hi * max(hi, r) < math.inf and 2 * r / lo < math.inf):
+            raise ValueError("hyperplane normal a is too large or too small for r: "
+                             "its squares or its kinks overflow")
         reach = r * np.abs(a).sum()
         if not (-reach <= b <= reach):
             raise ValueError("feasible set {a'z = b, -r <= z <= r} is empty")
         self.a, self.b, self.r = a, float(b), float(r)
         self._reach = reach
-        self._nz = np.flatnonzero(a)
-        an = self._an = a[self._nz]
+        self._nz = nz
+        an = self._an = a[nz]
         self._edge = r * np.sign(an)
         self._a2 = an * an
         # the multiplier with every coordinate free is a_free'v - b_free.
@@ -203,12 +214,16 @@ class BoxHyperplane(ConvexSet):
         self._slope_steps = np.concatenate((-self._a2, self._a2))
         self._free_steps = np.repeat([1, -1], an.size)
         # |a_i z_i| of a clipped coordinate
-        self._r_abs_a = r * np.abs(an)
+        self._r_abs_a = r * a_abs
         self._r_tol = r * (1.0 + _FEAS_TOL)
         self._eq_tol = _FEAS_TOL * (1.0 + abs(b) + np.linalg.norm(a) * r)
         # below this max |v_i| no step of the search can overflow: each is at
-        # most about n max(1, ||a||^2) / min(1, min |a_i|)^2 times max |v_i|
-        self._v_safe = 1e300 * min(1.0, float(np.abs(an).min())) ** 2 / (an.size * max(1.0, a2_sum))
+        # most about n max(1, ||a||^2) / min(1, min |a_i|)^2 times max |v_i|.
+        # Nor can roundoff break a'z = b past _eq_tol: z = clip(v - lam a)
+        # misses it by at most about 4 n eps (||a||_1 (max |v_i| + r) + |b|)
+        n_eps = 4 * an.size * np.finfo(float).eps
+        self._v_safe = min(1e300 * min(1.0, lo) ** 2 / (an.size * max(1.0, a2_sum)),
+                           (self._eq_tol / n_eps - abs(b)) / float(a_abs.sum()) - r)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

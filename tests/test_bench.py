@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,40 @@ def test_run_benchmark_builds_each_instance_once(monkeypatch):
     assert sorted(builds, key=suite.index) == suite
     assert solved(records) == solved(per_row)
     assert [r.status for r in records[3:6]] == ["error:RuntimeError"] * 3
+
+
+def test_run_benchmark_reads_known_L_before_timing_a_row(monkeypatch):
+    """known_L is computed on first read, and run_benchmark reads it with the
+    build: before the first row's solve, so no row's runtime holds it.  An
+    estimate that raises fails every row of its instance, as a failed build
+    does."""
+    events = []
+
+    def logged_make_instance(spec):
+        problem, z0 = make_instance(spec)
+
+        def estimate():
+            events.append(f"known_L:{spec.seed}")
+            if spec.seed == 2:
+                raise RuntimeError("the estimate failed")
+            return problem.known_L
+        return replace(problem, known_L=estimate), z0
+
+    def logged(method):
+        run = METHODS[method]
+
+        def call(*args):
+            events.append(method)
+            return run(*args)
+        return call
+
+    monkeypatch.setattr("sfista.bench.make_instance", logged_make_instance)
+    for method in ("rada", "greedy"):
+        monkeypatch.setitem(METHODS, method, logged(method))
+    suite = [InstanceSpec("lasso", 20, 40, seed, C=2.0) for seed in (1, 2)]
+    records = run_benchmark(suite, ["rada", "greedy"], 1e-8, 60.0)
+    assert events == ["known_L:1", "rada", "greedy", "known_L:2"]
+    assert [r.status for r in records] == ["converged"] * 2 + ["error:RuntimeError"] * 2
 
 
 def test_threads_share_one_box_hyperplane(monkeypatch):

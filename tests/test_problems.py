@@ -471,6 +471,18 @@ def test_building_logistic_and_lasso_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_reading_known_L_loads_no_scipy():
+    # logistic and lasso compute known_L, by Lanczos, at its first read
+    src = str(Path(sfista.__file__).resolve().parents[1])
+    code = ("import sys; import sfista; "
+            "[sfista.make_instance(sfista.desk_suite(f, count=1)[0])[0].known_L "
+            "for f in ('lasso', 'logistic')]; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
 def test_building_qps_loads_no_scipy():
     # the curvature calibration's eigenvalues come from numpy alone
     src = str(Path(sfista.__file__).resolve().parents[1])

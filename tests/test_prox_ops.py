@@ -240,6 +240,46 @@ def test_box_hyperplane_rejects_input_too_large_to_project(a, b, v):
             BoxHyperplane(np.array(a), b, 1.0).project(np.array(v))
 
 
+@pytest.mark.parametrize("a", [[1e200, 1.0, 1.0], [1e-320, 1.0, 1.0]],
+                         ids=["squares-overflow", "kinks-overflow"])
+def test_box_hyperplane_rejects_a_normal_that_overflows(a):
+    # a_i^2 = inf in the constructor, or kinks r / a_i = inf at every projection
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="squares or its kinks overflow"):
+            BoxHyperplane(np.array(a), 0.0, 1.0)
+
+
+_signed_magnitude = st.builds(lambda e, s: s * 10.0 ** e, st.floats(-3.0, 308.0),
+                              st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_signed_magnitude, min_size=1, max_size=8), st.data())
+@example([1e16, 1e16, -1e16], None)  # v - lam*a loses the free coordinates
+def test_box_hyperplane_returns_a_member_or_raises(vals, data):
+    # entries log-uniform up to 1e308: the result passes contains, or the
+    # projection raises a ValueError; a result has the bytes of the plain solve
+    v = np.array(vals)
+    if data is None:
+        a, b, r = np.ones(v.size), 0.0, 1.0
+    else:
+        a = np.array(data.draw(st.lists(st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
+                                        min_size=v.size, max_size=v.size)))
+        r = data.draw(st.floats(0.01, 100.0))
+        b = data.draw(st.floats(-1.0, 1.0)) * r * float(np.abs(a).sum())
+    C = BoxHyperplane(a, b, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            z = C.project(v)
+        except ValueError:
+            return
+    assert C.contains(z)
+    with np.errstate(all="ignore"):
+        assert z.tobytes() == C._project(v).tobytes()
+
+
 def test_bad_radius_raises():
     with pytest.raises(ValueError):
         L1Ball(0.0).project(np.ones(3))

@@ -44,6 +44,7 @@ from sfista.problems import (
     gen_qp_box,
     gen_qp_simplex,
     make_instance,
+    opnorm_sq,
 )
 from sfista.rpf_sfista import SfistaConfig, solve_sfista
 
@@ -318,15 +319,44 @@ def test_lasso_iteration_matvecs(method, unfused):
     # both at each point taken.  An unfused trial evaluates f at y, and in
     # rpf-sfista f and grad f at x_tilde, which moves with L: 6 products a
     # trial there, 2 in fista-bt and fista-r, which evaluate x_tilde once
-    # per iteration.  unfused is the cost of an iteration of one trial
+    # per iteration.  unfused is the cost of an iteration of one trial.
+    # known_L is read first: its Lanczos estimate, which rada and greedy read,
+    # is a one-time set-up, not a per-iteration cost
     rng = np.random.default_rng(5)
     counts = {"products": 0}
     A = rng.standard_normal((20, 40))
     problem, z0 = gen_lasso(_CountingMatrix(A, counts), rng.standard_normal(20), 2.0, seed=5)
+    problem.known_L
     fused = {"products": 2}
     assert _per_iteration(method, problem, z0, counts, fused) == fused
     per_trial = {"products": {"rpf-sfista": 6, "fista-bt": 2, "fista-r": 2}.get(method, 0)}
     assert _per_iteration(method, _plain(problem), z0, counts, per_trial) == {"products": unfused}
+
+
+def test_lasso_known_L_is_computed_on_first_read():
+    # building a lasso runs no product: its known_L, the Lanczos estimate of
+    # ||A||^2, runs at the first read and is kept.  rpf-sfista and fista-r
+    # find L by line search and leave it unread, and an A-REG subproblem's
+    # known_L, the base's plus delta, is computed only when read
+    rng = np.random.default_rng(5)
+    counts = {"products": 0}
+    A, b = rng.standard_normal((20, 40)), rng.standard_normal(20)
+    problem, z0 = gen_lasso(_CountingMatrix(A, counts), b, 2.0, seed=5)
+    assert counts["products"] == 0
+    for method in ("rpf-sfista", "fista-r"):
+        assert METHODS[method](problem, z0, 1e-8, 7200.0).status == "converged"
+    sub = build_subproblem(problem, 0.25, z0)
+    counts["products"] = 0
+    L_sub = sub.known_L
+    lanczos = counts["products"]
+    assert lanczos > 0 and lanczos % 2 == 0  # A'(Av) at each Lanczos step
+    L = problem.known_L
+    assert L_sub == L + 0.25 and sub.known_L == L_sub and problem.known_L == L
+    assert counts["products"] == lanczos
+    assert L.hex() == opnorm_sq(lambda v: A @ v, lambda v: A.T @ v, 40).hex()
+    assert replace(problem, known_L=3.0).known_L == 3.0
+    assert replace(problem, known_L=None).known_L is None
+    assert counts["products"] == lanczos
 
 
 def _counting(problem, z0, counts):
