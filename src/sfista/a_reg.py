@@ -28,6 +28,10 @@ from .core import (
 from .rpf_sfista import SfistaConfig, solve_sfista
 
 _MAX_OUTER_ITERS = 100
+# the inner solver's initial strong-convexity estimate is _B times the
+# certified modulus delta of the regularized subproblem; delta starts at _DELTA0
+_B = 10.0
+_DELTA0 = 1.0
 
 __all__ = [
     "ARegConfig",
@@ -43,23 +47,16 @@ __all__ = [
 class ARegConfig:
     """Outer-loop inputs.
 
-    B scales the inner solver's initial strong-convexity estimate above the
-    certified modulus delta of the regularized subproblem (B >= 1).  The
-    inner solves otherwise use SfistaConfig's defaults: each measures its
-    own L and floor from its first step, and no L carries between them.
+    The inner solves start from mu0 = _B * delta and otherwise use
+    SfistaConfig's defaults: each measures its own L and floor from its
+    first step, and no L carries between them.
     """
 
-    B: float = 10.0
-    delta0: float = 1.0
     eps: float = 1e-8
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        # written as `not 0 < x < inf` so that NaN fails too
-        if not 1 <= self.B < math.inf:
-            raise ValueError("B must be at least 1 and finite")
-        if not 0 < self.delta0 < math.inf:
-            raise ValueError("delta0 must be positive and finite")
+        # written as `not x > 0` so that NaN fails too
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if not self.time_limit >= 0:
@@ -144,7 +141,7 @@ def solve_areg(
     inner_outputs: List[SolveOutput] = []
     trace: List[ARegTraceRow] = []
 
-    delta = config.delta0
+    delta = _DELTA0
     theta = theta0
     status = "iter_cap"
     w = theta0
@@ -158,7 +155,7 @@ def solve_areg(
 
         sub = build_subproblem(problem, delta, theta)
         inner_cfg = SfistaConfig(
-            mu0=config.B * delta,
+            mu0=_B * delta,
             eps_hat=config.eps / 6.0,
             residual_mode="absolute",
             time_limit=max(config.time_limit - elapsed, 0.0),

@@ -21,6 +21,7 @@ from .core import (
     CompositeProblem,
     CountingOracle,
     SolveOutput,
+    check_end_h,
     check_start,
     line_search,
     nan_message,
@@ -158,8 +159,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
 
     # y is a copy, so that it holds no lifted point's image alive
     y = Y[pt].copy()
-    if math.isinf(oracle.h(y)):
-        raise RuntimeError(f"{method}: the prox oracle returned a point where h is inf")
+    check_end_h(method, oracle.h(y))
     return SolveOutput(
         y=y, v=v, L_final=L, cycles=restarts + 1, total_iters=j,
         counters=oracle.counters, status=status, residual=residual,

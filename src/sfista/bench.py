@@ -71,7 +71,7 @@ def compute_atr(
 
     Times that exceed the limit (timeouts) are clamped to the limit before
     taking ratios; every time is floored at one timer tick so the ratio is
-    always finite.
+    always finite.  A NaN or negative time is a ValueError.
     """
     if not time_limit > 0:  # written so that NaN fails too
         raise ValueError(f"time_limit must be positive, got {time_limit}")
@@ -81,6 +81,8 @@ def compute_atr(
         raise ValueError("ATR inputs must have equal length")
     total = 0.0
     for b, r in zip(best_other_times, rpf_times):
+        if not (b >= 0 and r >= 0):  # written so that NaN fails too
+            raise ValueError(f"run times must be nonnegative, got {b} and {r}")
         b = min(b, time_limit)
         r = min(r, time_limit)
         total += max(b, _MIN_TICK) / max(r, _MIN_TICK)

@@ -277,9 +277,21 @@ def grad_fd_check(problem: CompositeProblem, z: np.ndarray, step: float) -> floa
 def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> np.ndarray:
     """z0 as a float vector of the problem's dimension, checked to lie in dom h."""
     z0 = problem.check_dim(z0)
-    if math.isinf(float(problem.h_eval(z0))):
+    h0 = float(problem.h_eval(z0))
+    if not h0 < math.inf:  # written so that NaN fails too
+        if math.isnan(h0):
+            raise ValueError(f"the h oracle returned NaN at {name}")
         raise ValueError(f"{name} is infeasible: h({name}) = +inf")
     return z0
+
+
+def check_end_h(where: str, h: float) -> None:
+    """Raise unless h at the y a solver returns is below inf: a NaN is the h
+    oracle's, an inf that of the prox oracle that returned y."""
+    if not h < math.inf:
+        if math.isnan(h):
+            raise RuntimeError(f"{where}: the h oracle returned NaN at the returned y")
+        raise RuntimeError(f"{where}: the prox oracle returned a point where h is inf")
 
 
 def residual_denominator(mode: str, grad_f_z0: np.ndarray) -> float:

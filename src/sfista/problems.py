@@ -30,6 +30,12 @@ __all__ = [
     "make_instance",
 ]
 
+# a QP draw tries seeds seed, ..., seed + _QP_DRAWS - 1 before it gives up;
+# opnorm_sq stops after _LANCZOS_STEPS steps or at the residual bound _LANCZOS_TOL
+_QP_DRAWS = 10
+_LANCZOS_STEPS = 500
+_LANCZOS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -229,12 +235,11 @@ def _gen_qp(
     m: int, n: int, alpha: float, mu_target: float, L_target: float, seed: int,
     constraint: ConvexSet,
     z0_rule: Callable[[np.random.Generator], np.ndarray],
-    max_redraws: int = 10,
 ):
     if mu_target <= 0 or L_target <= 0 or mu_target > L_target:
         raise ValueError("need 0 < mu_target <= L_target")
     last_seed = seed
-    for attempt in range(max_redraws):
+    for attempt in range(_QP_DRAWS):
         last_seed = seed + attempt
         rng = np.random.default_rng(last_seed)
         B = rng.uniform(0.0, 1.0, size=(n, n))
@@ -268,7 +273,7 @@ def _gen_qp(
         return problem, z0
     raise RuntimeError(
         f"curvature calibration infeasible for targets ({mu_target:g}, {L_target:g}) "
-        f"after {max_redraws} seeds ending at {last_seed}"
+        f"after {_QP_DRAWS} seeds ending at {last_seed}"
     )
 
 
@@ -316,9 +321,6 @@ def opnorm_sq(
     apply: Callable[[np.ndarray], np.ndarray],
     apply_adjoint: Callable[[np.ndarray], np.ndarray],
     n: int,
-    iters: int = 500,
-    tol: float = 1e-10,
-    seed: int = 0,
 ) -> float:
     """Dominant eigenvalue of A'A (= ||A||^2) by Lanczos on v -> A'(Av).
 
@@ -327,11 +329,10 @@ def opnorm_sq(
     than power iteration (Kuczynski and Wozniakowski, 1992).  Each step
     takes the top eigenpair (theta, s) of the k x k tridiagonal T_k and stops
     when the residual bound beta_k |s_k| is at most tol * max(1, theta), when
-    beta_k = 0 (theta is then exact), or after min(iters, n) steps.  Returns
-    0 for the zero operator.
+    beta_k = 0 (theta is then exact), or after min(_LANCZOS_STEPS, n)
+    steps, with tol = _LANCZOS_TOL.  Returns 0 for the zero operator.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
+    v = np.random.default_rng(0).standard_normal(n)  # a fixed start: bit-reproducible
     nv = np.linalg.norm(v)
     if nv == 0:
         return 0.0
@@ -340,7 +341,7 @@ def opnorm_sq(
     alphas: list = []
     betas: list = []
     beta = theta = 0.0
-    for _ in range(min(iters, n)):
+    for _ in range(min(_LANCZOS_STEPS, n)):
         w = apply_adjoint(apply(v)) - beta * v_prev  # a new array: apply may return v
         alpha = float(v @ w)
         w -= alpha * v
@@ -349,7 +350,7 @@ def opnorm_sq(
         T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         evals, evecs = np.linalg.eigh(T)
         theta = float(evals[-1])
-        if beta == 0.0 or beta * abs(evecs[-1, -1]) <= tol * max(1.0, theta):
+        if beta == 0.0 or beta * abs(evecs[-1, -1]) <= _LANCZOS_TOL * max(1.0, theta):
             break
         betas.append(beta)
         v_prev, v = v, w / beta

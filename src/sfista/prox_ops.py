@@ -26,6 +26,11 @@ __all__ = [
 
 # contains(z) admits constraint violations of this order, scaled to each set
 _FEAS_TOL = 1e-9
+# roundoff in the running sums to the threshold index rho, and in entries near
+# the threshold, moves a simplex projection's sum off its radius by at most about
+# eps ((rho + 1)^2 + n) max |v_i|.  Below this ratio of that product to the
+# radius, that is a quarter of _FEAS_TOL times the radius or less
+_SIMPLEX_EXACT = _FEAS_TOL / (4 * float(np.finfo(float).eps))
 # Newton passes a box-hyperplane projection makes before it falls back to the
 # breakpoint search; with few coordinates at the box bound they settle in one
 _NEWTON_PASSES = 5
@@ -36,6 +41,9 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
     Sort-and-threshold, O(n log n).  Ties are resolved by the largest prefix
     with a positive threshold, which is the standard deterministic rule.
+    Input so large that roundoff could move the sum off the radius by
+    _FEAS_TOL times it is rescaled to sum to the radius, so that `contains`
+    accepts every result; smaller input skips that step.
     """
     v = np.asarray(v, dtype=float)
     if v.size == 0:
@@ -50,8 +58,10 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
     # an end: two tests find either before the sums would warn on them
     if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         raise ValueError("cannot project a vector with NaN or infinite entries")
+    # a Python float, whose products overflow to inf without numpy's warning
+    v_max = float(max(u[0], -u[-1]))
     # n max|v_i| + radius bounds the running sums; one that overflows takes the shift below
-    if max(u[0], -u[-1]) < (1e308 - radius) / v.size:
+    if v_max < (1e308 - radius) / v.size:
         css = np.add.accumulate(u) - radius
     else:
         with np.errstate(over="ignore"):
@@ -71,7 +81,10 @@ def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
         return project_simplex(shifted, radius)
     rho = int(positive[-1])
     theta = css[rho] / (rho + 1)
-    return np.maximum(v - theta, 0.0)
+    x = np.maximum(v - theta, 0.0)
+    if v_max * ((rho + 1) ** 2 + v.size) > _SIMPLEX_EXACT * float(radius):
+        x *= radius / np.add.reduce(x)
+    return x
 
 
 class ConvexSet:

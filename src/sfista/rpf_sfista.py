@@ -24,6 +24,7 @@ from .core import (
     CompositeProblem,
     CountingOracle,
     SolveOutput,
+    check_end_h,
     check_start,
     line_search,
     nan_message,
@@ -155,7 +156,7 @@ def solve_sfista(
     with a smaller mu.  At a cap the output holds the last prox output y and
     its certificate v; xi stays the best point.  Raises RuntimeError when the
     step weight overflows, which a long enough cycle reaches through the
-    growth of A and tau, and when h is inf at the returned y.
+    growth of A and tau, and when h is inf or NaN at the returned y.
     """
     z0 = check_start(problem, z0)
 
@@ -270,8 +271,7 @@ def solve_sfista(
 
     # copies, so that an output holds no lifted point's image alive
     y = Y[pt].copy()
-    if math.isinf(oracle.h(y)):
-        raise RuntimeError("RPF-SFISTA: the prox oracle returned a point where h is inf")
+    check_end_h("RPF-SFISTA", oracle.h(y))
     return SolveOutput(
         y=y, v=v, xi=y if XI is Y else XI[pt].copy(), L_final=L,
         cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,

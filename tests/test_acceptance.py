@@ -19,6 +19,7 @@ import pytest
 
 from test_prox_ops import oracle_box_hyperplane, oracle_l1_ball, oracle_simplex
 
+from sfista import a_reg
 from sfista.a_reg import ARegConfig, solve_areg
 from sfista.bench import atr_from_records, desk_suite, emit_table, run_benchmark
 from sfista.core import CompositeProblem, eval_phi
@@ -269,7 +270,7 @@ def test_criterion_09_regularization_outer_loop_contract():
     inner_ok = all(float(np.linalg.norm(inner.v)) <= eps / 6.0 + 1e-15
                    for inner in out.inner_outputs)
     halving_ok = all(
-        row.delta == ARegConfig().delta0 * 2.0 ** (-(k - 1))
+        row.delta == a_reg._DELTA0 * 2.0 ** (-(k - 1))
         for k, row in enumerate(out.trace, start=1)
     )
     psi = [eval_phi(prob, np.zeros(n))]

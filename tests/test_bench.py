@@ -61,6 +61,14 @@ def test_atr_zero_time_guarded():
     assert math.isfinite(compute_atr([1.0], [0.0], 7200.0))
 
 
+@pytest.mark.parametrize("times", [([1.0], [math.nan]), ([math.nan], [1.0]),
+                                   ([1.0], [-2.0]), ([-2.0], [1.0])])
+def test_atr_rejects_nan_and_negative_times(times):
+    # a NaN ratio, or a negative time floored to a tick, is no ATR
+    with pytest.raises(ValueError, match="run times must be nonnegative"):
+        compute_atr(*times, 7200.0)
+
+
 # ---------------------------------------------------------------------------
 # table emission
 
@@ -283,6 +291,22 @@ def test_atr_from_records():
     records[1] = _record(method="fista-bt", status="iter_cap", runtime_s=1.0)
     assert atr_from_records(records, baseline="fista-bt", time_limit=100.0) \
         == pytest.approx(100.0)
+
+
+def test_cli_atr_rejects_a_nan_or_negative_runtime(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for runtime in ("nan", "-2.0"):
+        (tmp_path / "r.csv").write_text(emit_table(
+            [_record(runtime_s=float(runtime)), _record(method="greedy")], "csv"))
+        err = _usage_error(capsys, bench_main, ["atr", "--in", "r.csv"])
+        assert "error: run times must be nonnegative" in err
+        assert "Traceback" not in err and err.count("error:") == 1
+    # an error row keeps its runtime of 0.0 and counts as the time limit
+    (tmp_path / "r.csv").write_text(emit_table(
+        [_record(), _record(method="greedy", status="error:RuntimeError", runtime_s=0.0)],
+        "csv"))
+    assert bench_main(["atr", "--in", "r.csv", "--time-limit", "100"]) == 0
+    assert "ATR of rpf-sfista vs best other method: 800\n" in capsys.readouterr().out
 
 
 def test_desk_suite_families():

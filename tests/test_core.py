@@ -24,6 +24,7 @@ from sfista.core import (
     CountingOracle,
     OracleCounters,
     SmoothFunction,
+    check_start,
     eval_phi,
     grad_fd_check,
     norm,
@@ -278,6 +279,30 @@ def test_infeasible_prox_output_raises(method):
             solve_areg(box, ARegConfig(), z0)
         else:
             METHODS[method](box, z0, 1e-8, 7200.0)
+
+
+def _nan_h_near_zero():
+    # h is 0 as far as the prox knows, but its oracle gives NaN near 0
+    return CompositeProblem(
+        dim=1, f_eval=lambda z: 0.5 * float(z @ z), f_grad=lambda z: z.copy(),
+        h_prox=lambda p, lam: p.copy(),
+        h_eval=lambda z: math.nan if abs(z[0]) < 1e-3 else 0.0,
+        known_L=1.0,
+    )
+
+
+@pytest.mark.parametrize("method,where", [("rpf-sfista", "RPF-SFISTA"), ("fista-bt", "fista-bt")])
+def test_nan_h_at_the_returned_y_raises(method, where):
+    # the solves end near 0, where they once reported converged
+    with pytest.raises(RuntimeError, match=f"{where}: the h oracle returned NaN at the returned y"):
+        METHODS[method](_nan_h_near_zero(), np.ones(1), 1e-8, 7200.0)
+
+
+def test_nan_h_at_the_start_raises():
+    with pytest.raises(ValueError, match="the h oracle returned NaN at z0"):
+        check_start(_nan_h_near_zero(), np.zeros(1))
+    with pytest.raises(ValueError, match="the h oracle returned NaN at theta0"):
+        solve_areg(_nan_h_near_zero(), ARegConfig(), np.zeros(1))
 
 
 @pytest.mark.parametrize("solve", [

@@ -22,6 +22,7 @@ from sfista.prox_ops import (
     BoxHyperplane,
     L1Ball,
     Simplex,
+    _SIMPLEX_EXACT,
     project_simplex,
 )
 
@@ -278,6 +279,27 @@ def test_box_hyperplane_returns_a_member_or_raises(vals, data):
     assert C.contains(z)
     with np.errstate(all="ignore"):
         assert z.tobytes() == C._project(v).tobytes()
+
+
+def test_l1_projection_of_large_input_is_a_member():
+    # the running sums round ||p||_1 to radius (1 + 4.75e-8) unless rescaled
+    ball = L1Ball(1e-3)
+    p = ball.project(np.array([262145.0, 262145.0]))
+    assert ball.contains(p)
+    np.testing.assert_allclose(p, [5e-4, 5e-4], rtol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_signed_magnitude, min_size=1, max_size=40), st.floats(1e-3, 1e3))
+@example([262145.0, 262145.0], 1e-3)
+def test_simplex_and_l1_projections_are_members(vals, radius):
+    # entries log-uniform up to 1e308: every result passes contains
+    v = np.array(vals)
+    ball = L1Ball(radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert Simplex().contains(Simplex().project(v))
+        assert ball.contains(ball.project(v))
 
 
 def test_bad_radius_raises():
@@ -563,7 +585,10 @@ def _project_simplex_reference(v, radius=1.0):
             shifted = np.maximum(v - v.max(), -2.0 * radius)
         return _project_simplex_reference(shifted, radius)
     rho = int(positive[-1])
-    return np.maximum(v - css[rho] / (rho + 1), 0.0)
+    x = np.maximum(v - css[rho] / (rho + 1), 0.0)
+    if float(max(u[0], -u[-1])) * ((rho + 1) ** 2 + v.size) > _SIMPLEX_EXACT * float(radius):
+        x = x * (radius / x.sum())
+    return x
 
 
 def _l1_project_reference(v, radius):
