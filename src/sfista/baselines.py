@@ -139,7 +139,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
             break
 
         if restart == "value":
-            phi_y = f_y + oracle.h(y)
+            phi_y = f_y + oracle.h_at_prox(y)
             restarted = phi_y > phi_prev + _PHI_RISE_ULPS * math.ulp(phi_prev)
             phi_prev = phi_y
         else:

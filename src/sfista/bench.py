@@ -71,10 +71,13 @@ def compute_atr(
 
     Times that exceed the limit (timeouts) are clamped to the limit before
     taking ratios; every time is floored at one timer tick so the ratio is
-    always finite.  A NaN or negative time is a ValueError.
+    always finite.  A NaN or negative time is a ValueError, and so is a
+    limit that is not positive and finite.
     """
-    if not time_limit > 0:  # written so that NaN fails too
-        raise ValueError(f"time_limit must be positive, got {time_limit}")
+    if not 0 < time_limit < math.inf:  # written so that NaN fails too
+        # an infinite limit would charge a failed run inf, and inf / inf is NaN
+        what = "finite" if time_limit == math.inf else "positive"
+        raise ValueError(f"time_limit must be {what}, got {time_limit}")
     if len(best_other_times) == 0 or len(rpf_times) == 0:
         raise ValueError("ATR needs at least one paired run")
     if len(best_other_times) != len(rpf_times):

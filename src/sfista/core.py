@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .prox_ops import Box, BoxHyperplane, L1Ball, Simplex
+
 __all__ = [
     "SmoothFunction",
     "CompositeProblem",
@@ -38,6 +40,8 @@ _L_FIRST = 10.0
 _L_OVERFLOW = 1e30
 _FLOAT = np.dtype(float)
 _NO_IMAGE = np.empty(0)  # the image of plain-callable oracles
+# the library's constraint sets: each of their projections passes `contains`
+_LIBRARY_SETS = (Simplex, L1Ball, Box, BoxHyperplane)
 
 
 def norm(x: np.ndarray) -> float:
@@ -189,6 +193,15 @@ def smooth_of(problem: CompositeProblem) -> SmoothFunction:
     return SmoothFunction(lambda z: _NO_IMAGE, lambda z, k: f_eval(z), lambda z, k: f_grad(z))
 
 
+def _projects_into_set(problem: CompositeProblem) -> bool:
+    """Whether problem.h_prox and problem.h_eval are the bound `prox` and
+    `indicator` of one library constraint set, so that h is 0 at every prox
+    output.  Plain callables, a replaced oracle or a ConvexSet subclass
+    defined elsewhere give False."""
+    s = getattr(problem.h_prox, "__self__", None)
+    return type(s) in _LIBRARY_SETS and problem.h_prox == s.prox and problem.h_eval == s.indicator
+
+
 class CountingOracle:
     """Wraps a CompositeProblem, incrementing counters on each oracle call.
 
@@ -204,6 +217,9 @@ class CountingOracle:
     count one evaluation each, whether the image was computed or carried.
     For plain-callable or replaced oracles the image is empty and P is a
     copy of z, so f and grad are the problem's own oracles.
+
+    `h_at_prox` is h at a prox output: 0.0, with no call, where h_prox and
+    h_eval are one library set's projection and indicator; h_eval otherwise.
     """
 
     def __init__(self, problem: CompositeProblem):
@@ -211,6 +227,7 @@ class CountingOracle:
         self.counters = OracleCounters()
         self._shape = (problem.dim,)
         self._h_prox = problem.h_prox
+        self._prox_in_set = _projects_into_set(problem)
         smooth = smooth_of(problem)
         self._image, self._value, self._grad = smooth.image, smooth.value, smooth.grad
         self.pt = slice(problem.dim)  # P[pt] is the point of the lifted point P
@@ -245,6 +262,10 @@ class CountingOracle:
 
     def h(self, z: np.ndarray) -> float:
         return float(self.problem.h_eval(z))
+
+    def h_at_prox(self, y: np.ndarray) -> float:
+        """h at y, an output of `prox`."""
+        return 0.0 if self._prox_in_set else float(self.problem.h_eval(y))
 
 
 def eval_phi(problem: CompositeProblem, z: np.ndarray) -> float:

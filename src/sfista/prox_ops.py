@@ -91,7 +91,11 @@ class ConvexSet:
     """A nonempty closed convex set C, for h = delta_C.
 
     Subclasses define project(v), the Euclidean projection onto C, and
-    contains(z), membership up to _FEAS_TOL.
+    contains(z), membership up to _FEAS_TOL.  Every projection of the four
+    sets below passes their `contains`, or raises.  So where a problem's
+    h_prox and h_eval are one of their bound `prox` and `indicator`, the
+    solvers take h = 0 at each prox output without calling `contains`, and
+    evaluate h only at the start point and at the y they return.
     """
 
     def prox(self, p: np.ndarray, lam: float) -> np.ndarray:
@@ -148,13 +152,20 @@ class Box(ConvexSet):
 
     def __init__(self, lo, hi):
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if np.isnan(bound).any():
+                raise ValueError(f"box bound {name} is NaN somewhere")
         if not np.all(lo <= hi):
             raise ValueError("box is empty: lo > hi somewhere")
         self.lo, self.hi = lo, hi
         self._lo_tol, self._hi_tol = lo - _FEAS_TOL, hi + _FEAS_TOL
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+        """The clip of v to the box; an infinite entry clips to its bound."""
+        z = np.clip(np.asarray(v, dtype=float), self.lo, self.hi)
+        if np.isnan(z).any():  # the clip passes NaN through
+            raise ValueError("cannot project a vector with NaN entries")
+        return z
 
     def contains(self, z: np.ndarray) -> bool:
         z = np.asarray(z, dtype=float)
@@ -177,7 +188,11 @@ class BoxHyperplane(ConvexSet):
     The solve makes Newton passes from lam = (a'v - b) / ||a||^2, the root
     when every coordinate is free: F and z_C at lam, then lam from the
     closed form, until the clip pattern repeats and lam is the root
-    (Cominetti, Mascarenhas and Silva, 2014).  An empty F, or _NEWTON_PASSES
+    (Cominetti, Mascarenhas and Silva, 2014).  Where every coordinate is
+    free at the first lam and at the next, as on a box that no coordinate
+    of the solution reaches, that pass needs no masks: the next lam is
+    (a'v - b) / ||a||^2 again, summed as the masked pass sums it, and the
+    pattern test is max enter < lam < min leave.  An empty F, or _NEWTON_PASSES
     passes, falls back to Kiwiel's breakpoint search: one sort of the 2n
     kinks and a cumsum of the slope changes give g at every kink, O(n log n).
     A root inside a segment gets the closed form of the same F either way,
@@ -220,7 +235,7 @@ class BoxHyperplane(ConvexSet):
         # the multiplier with every coordinate free is a_free'v - b_free.
         # a_i v_i / ||a||^2 = (a_i^2 / ||a||^2) (v_i / a_i), so that sum
         # cannot overflow where the kinks do not
-        a2_sum = float(np.add.reduce(self._a2))
+        a2_sum = self._a2_sum = float(np.add.reduce(self._a2))
         self._a_free, self._b_free = an / a2_sum, self.b / a2_sum
         # a kink changes g's slope by -a_i^2 where coordinate i enters the
         # free set and by +a_i^2 where it leaves, and the free count by +-1
@@ -272,6 +287,14 @@ class BoxHyperplane(ConvexSet):
     def _newton(self, vn: np.ndarray, enter: np.ndarray, leave: np.ndarray, lam: float):
         """The multiplier by Newton passes from lam, or None when the free
         set is empty or _NEWTON_PASSES passes leave the clip pattern moving."""
+        # every coordinate free at lam and at the next lam: the masked pass in
+        # closed form, `_multiplier` with `free` all true (+ 0.0 is the sum of
+        # the empty clipped set, and turns a -0.0 into 0.0 as that sum does)
+        e_max, l_min = np.maximum.reduce(enter), np.minimum.reduce(leave)
+        if e_max < lam < l_min:
+            lam_free = (self._an @ vn + 0.0 - self.b) / self._a2_sum
+            if e_max < lam_free < l_min:
+                return lam_free
         upper = enter >= lam
         free = ~upper & (leave > lam)
         for _ in range(_NEWTON_PASSES):

@@ -212,7 +212,7 @@ def solve_sfista(
             mu = floor if mu is None else mu
 
         # the best-point tie (phi(y) equal to the incumbent) keeps y
-        phi_y = f_y + oracle.h(y)
+        phi_y = f_y + oracle.h_at_prox(y)
         if phi_y <= phi_xi:
             XI, phi_xi, xi_moved = Y, phi_y, True
         # An image carried in x does not drift, so it needs no refresh.

@@ -25,6 +25,12 @@ from sfista.problems import InstanceSpec, gen_lasso, load_csv_matrix, make_insta
 from sfista.prox_ops import BoxHyperplane
 
 
+def test_atr_rejects_an_infinite_time_limit():
+    # a failed run is charged the limit: inf / inf would make the ATR NaN
+    with pytest.raises(ValueError, match="time_limit must be finite, got inf"):
+        compute_atr([math.inf], [math.inf], math.inf)
+
+
 # ---------------------------------------------------------------------------
 # ATR
 
@@ -307,6 +313,15 @@ def test_cli_atr_rejects_a_nan_or_negative_runtime(tmp_path, monkeypatch, capsys
         "csv"))
     assert bench_main(["atr", "--in", "r.csv", "--time-limit", "100"]) == 0
     assert "ATR of rpf-sfista vs best other method: 800\n" in capsys.readouterr().out
+
+
+def test_cli_atr_rejects_an_infinite_time_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.csv").write_text(emit_table(
+        [_record(status="iter_cap"), _record(method="greedy", status="iter_cap")], "csv"))
+    err = _usage_error(capsys, bench_main, ["atr", "--in", "r.csv", "--time-limit", "inf"])
+    assert "error: time_limit must be finite, got inf" in err
+    assert "Traceback" not in err and err.count("error:") == 1
 
 
 def test_desk_suite_families():

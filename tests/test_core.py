@@ -18,7 +18,7 @@ from sfista.baselines import (
     solve_greedy_fista,
     solve_rada_fista,
 )
-from sfista.bench import METHODS
+from sfista.bench import METHODS, desk_suite
 from sfista.core import (
     CompositeProblem,
     CountingOracle,
@@ -30,6 +30,8 @@ from sfista.core import (
     norm,
     residual_denominator,
 )
+from sfista.problems import make_instance
+from sfista.prox_ops import BoxHyperplane, L1Ball
 from sfista.rpf_sfista import SfistaConfig, solve_sfista
 
 
@@ -335,3 +337,32 @@ def test_norm_is_numpys_norm_bit_for_bit(n, seed, scale, specials, step):
         with np.errstate(all="ignore"):
             got, want = norm(x), float(np.linalg.norm(x))
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("family,kind", [("qp_box", BoxHyperplane), ("lasso", L1Ball)])
+@pytest.mark.parametrize("method,at_start", [("rpf-sfista", 2), ("fista-r", 1)])
+def test_library_set_is_checked_at_the_start_and_the_end_only(
+        monkeypatch, family, kind, method, at_start):
+    """With h_prox and h_eval a library set's prox and indicator, h is 0 at
+    every prox output and `contains` runs only on z0 (check_start, and
+    rpf-sfista's phi(z0)) and on the returned y.  The same set behind a plain
+    h_eval is called at every iteration (fista-r: each one that does not
+    converge), with the same iterates."""
+    problem, z0 = make_instance(desk_suite(family, 42, 1)[0])
+    calls = []
+    contains = kind.contains
+
+    def counted(self, z):
+        calls.append(1)
+        return contains(self, z)
+
+    monkeypatch.setattr(kind, "contains", counted)
+    out = METHODS[method](problem, z0, 1e-8, 60.0)
+    assert out.status == "converged" and out.total_iters > 50
+    assert len(calls) == at_start + 1
+    calls.clear()
+    indicator = problem.h_eval
+    plain = METHODS[method](replace(problem, h_eval=lambda z: indicator(z)), z0, 1e-8, 60.0)
+    assert plain.y.tobytes() == out.y.tobytes() and plain.total_iters == out.total_iters
+    per_iter = out.total_iters - (method == "fista-r")
+    assert len(calls) == at_start + per_iter + 1

@@ -22,6 +22,7 @@ from sfista.prox_ops import (
     BoxHyperplane,
     L1Ball,
     Simplex,
+    _NEWTON_PASSES,
     _SIMPLEX_EXACT,
     project_simplex,
 )
@@ -212,6 +213,22 @@ def test_nonfinite_input_raises(project, bad):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="NaN or infinite"):
             project(np.array([bad, 1.0, 2.0]))
+
+
+def test_box_nan_input_raises():
+    # a box has no NaN or infinite check to share: an infinite entry clips to
+    # its bound, and only NaN, which the clip passes through, is rejected
+    box = Box(0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN entries"):
+        box.project(np.array([np.nan, 0.5]))
+    np.testing.assert_array_equal(box.project(np.array([np.inf, -np.inf, 0.5])), [1.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("lo,hi,name", [(np.nan, 1.0, "lo"), (0.0, [1.0, np.nan], "hi")],
+                         ids=["lo", "hi"])
+def test_box_with_a_nan_bound_names_it(lo, hi, name):
+    with pytest.raises(ValueError, match=f"box bound {name} is NaN"):
+        Box(lo, hi)
 
 
 def test_huge_finite_input_projects():
@@ -476,6 +493,78 @@ def test_desk_box_qp_runs_no_breakpoint_search(monkeypatch):
     _, outputs, searches = _recorded_solve(monkeypatch, *make_instance(spec))
     assert len(outputs) > 1000
     assert searches == []
+
+
+@st.composite
+def _all_free_case(draw):
+    """(C, v, nudged): a box-hyperplane set and a v whose projection has every
+    coordinate free.  With nudged, one kink of coordinate k is moved to the
+    all-free multiplier and then a few ulps of v_k off it, so that e_max or
+    l_min lies within ulps of lam0 and lam1."""
+    n = draw(st.integers(2, 12))
+    a = np.array(draw(st.lists(st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+                               min_size=n, max_size=n)))
+    r = draw(st.floats(0.1, 10.0))
+    z = np.array(draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))) * r
+    v = z + draw(st.floats(-10.0, 10.0)) * a
+    C = BoxHyperplane(a, float(a @ z), r)
+    nudged = draw(st.booleans())
+    if nudged:
+        # v_k puts kink (v_k -+ r sign(a_k)) / a_k at (a'v - b) / ||a||^2
+        k = draw(st.integers(0, n - 1))
+        edge = draw(st.sampled_from([-1.0, 1.0])) * r * np.sign(a[k])
+        s2, rest = a @ a, a @ v - a[k] * v[k] - C.b
+        v[k] = (edge * s2 + a[k] * rest) / (s2 - a[k] ** 2)
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            v[k] = np.nextafter(v[k], math.copysign(math.inf, ulps))
+    return C, v, nudged
+
+
+def _masked_projection(C, v):
+    """C's projection of v by the masked Newton passes alone, from the
+    all-free multiplier, with the breakpoint search as the fallback."""
+    vn = v[C._nz]
+    enter, leave = (vn - C._edge) / C._an, (vn + C._edge) / C._an
+    lam, found = C._a_free.dot(vn) - C._b_free, None
+    upper = enter >= lam
+    free = ~upper & (leave > lam)
+    for _ in range(_NEWTON_PASSES):
+        if not free.any():
+            break
+        lam = C._multiplier(vn, free, upper)
+        upper_next = enter >= lam
+        free_next = ~upper_next & (leave > lam)
+        if np.array_equal(free, free_next) and np.array_equal(upper, upper_next):
+            found = lam
+            break
+        upper, free = upper_next, free_next
+    if found is None:
+        found = C._breakpoint(vn, enter, leave)
+    return np.minimum(np.maximum(v - found * C.a, -C.r), C.r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_all_free_case())
+def test_all_free_newton_pass_keeps_the_masked_bytes(case):
+    """The projection equals the masked Newton passes' byte for byte, also
+    where a kink lies within ulps of the all-free multiplier.  Where every
+    coordinate is free it makes no masked pass and equals the breakpoint
+    search's; at a root within roundoff of a kink the masked passes and the
+    search may take the closed forms of the two neighbouring segments."""
+    C, v, nudged = case
+    multipliers = []
+    multiplier = BoxHyperplane._multiplier
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BoxHyperplane, "_multiplier",
+                   lambda self, *args: multipliers.append(1) or multiplier(self, *args))
+        z = C.project(v)
+    assert z.tobytes() == _masked_projection(C, v).tobytes()
+    if not nudged:
+        assert multipliers == []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BoxHyperplane, "_newton", lambda self, *args: None)
+            assert z.tobytes() == C.project(v).tobytes()
 
 
 # ---------------------------------------------------------------------------
