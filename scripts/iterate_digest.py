@@ -71,7 +71,8 @@ def digest(problem, z0, method: str, eps: float) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--count", type=int, default=4, help="instances per family")
+    parser.add_argument("--count", type=int, default=4, choices=range(1, 5),
+                        help="instances per family, 1 to 4")
     parser.add_argument("--eps", default="1e-8", help="comma-separated tolerances")
     parser.add_argument("--seed", type=int, default=42, help="instance seed of the desk grids")
     parser.add_argument("--family", action="append", choices=FAMILIES,

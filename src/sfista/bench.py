@@ -151,6 +151,8 @@ def run_benchmark(
     """
     if len(suite) == 0:
         raise ValueError("suite must be nonempty")
+    if len(methods) == 0:
+        raise ValueError("methods must be nonempty")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
@@ -262,26 +264,24 @@ def atr_from_records(
     return compute_atr(other_times, subject_times, time_limit)
 
 
+# each family's four (m, n) and shared settings.  qp_box's m = n/2 keeps the least-squares
+# block rank deficient, where the adaptive solvers separate from the fixed-step ones
+_DESK_GRIDS = {
+    "logistic": ([(60, 40), (80, 50), (100, 60), (120, 80)], dict(C=1.0)),
+    "lasso": ([(60, 120), (80, 160), (100, 200), (120, 240)], dict(C=5.0)),
+    "qp_simplex": ([(n, n) for n in (40, 60, 80, 100)],
+                   dict(alpha=100.0, mu_target=1e-4, L_target=1e2)),
+    "qp_box": ([(n // 2, n) for n in (80, 100, 120, 160)],
+               dict(alpha=1000.0, mu_target=1e-4, L_target=1e2, a_pattern="last1")),
+}
+
+
 def desk_suite(family: str, seed: int = 42, count: int = 4) -> List[InstanceSpec]:
-    """Small seeded instance grids that finish in seconds per run."""
-    if family == "logistic":
-        shapes = [(60, 40), (80, 50), (100, 60), (120, 80)]
-        return [InstanceSpec("logistic", m, n, seed + i, C=1.0)
-                for i, (m, n) in enumerate(shapes[:count])]
-    if family == "lasso":
-        shapes = [(60, 120), (80, 160), (100, 200), (120, 240)]
-        return [InstanceSpec("lasso", m, n, seed + i, C=5.0)
-                for i, (m, n) in enumerate(shapes[:count])]
-    if family == "qp_simplex":
-        sizes = [40, 60, 80, 100]
-        return [InstanceSpec("qp_simplex", n, n, seed + i, alpha=100.0,
-                             mu_target=1e-4, L_target=1e2)
-                for i, n in enumerate(sizes[:count])]
-    if family == "qp_box":
-        # m = n/2 keeps the least-squares block rank deficient, matching the
-        # regime where the adaptive solvers separate from the fixed-step ones
-        sizes = [80, 100, 120, 160]
-        return [InstanceSpec("qp_box", n // 2, n, seed + i, alpha=1000.0,
-                             mu_target=1e-4, L_target=1e2, a_pattern="last1")
-                for i, n in enumerate(sizes[:count])]
-    raise ValueError(f"unknown family {family!r}")
+    """The first `count` (1 to 4) of a family's desk instances, at seeds seed, seed + 1, ..."""
+    if family not in _DESK_GRIDS:
+        raise ValueError(f"unknown family {family!r}")
+    if not 1 <= count <= 4:
+        raise ValueError(f"count must be 1 to 4, got {count}")
+    shapes, settings = _DESK_GRIDS[family]
+    return [InstanceSpec(family, m, n, seed + i, **settings)
+            for i, (m, n) in enumerate(shapes[:count])]

@@ -31,9 +31,6 @@ _FEAS_TOL = 1e-9
 # eps ((rho + 1)^2 + n) max |v_i|.  Below this ratio of that product to the
 # radius, that is a quarter of _FEAS_TOL times the radius or less
 _SIMPLEX_EXACT = _FEAS_TOL / (4 * float(np.finfo(float).eps))
-# Newton passes a box-hyperplane projection makes before it falls back to the
-# breakpoint search; with few coordinates at the box bound they settle in one
-_NEWTON_PASSES = 5
 
 
 def project_simplex(v: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -185,19 +182,14 @@ class BoxHyperplane(ConvexSet):
     roundoff; there is no tolerance.  Coordinates with a_i = 0 are
     clip(v_i, -r, r).
 
-    The solve makes Newton passes from lam = (a'v - b) / ||a||^2, the root
-    when every coordinate is free: F and z_C at lam, then lam from the
-    closed form, until the clip pattern repeats and lam is the root
-    (Cominetti, Mascarenhas and Silva, 2014).  Where every coordinate is
-    free at the first lam and at the next, as on a box that no coordinate
-    of the solution reaches, that pass needs no masks: the next lam is
-    (a'v - b) / ||a||^2 again, summed as the masked pass sums it, and the
-    pattern test is max enter < lam < min leave.  An empty F, or _NEWTON_PASSES
-    passes, falls back to Kiwiel's breakpoint search: one sort of the 2n
-    kinks and a cumsum of the slope changes give g at every kink, O(n log n).
-    A root inside a segment gets the closed form of the same F either way,
-    so both give the same bytes.  Newton passes cost more than the search
-    only when many coordinates sit at the box bound.
+    Where every coordinate is free at lam = (a'v - b) / ||a||^2, as on a box
+    that no coordinate of the solution reaches, that lam is the root, and
+    the test is max enter < lam < min leave.  Otherwise Kiwiel's breakpoint
+    search (2008) finds the root's segment: one sort of the 2n kinks and a
+    cumsum of the slope changes give g at every kink, O(n log n).  Both give
+    the same bytes where every coordinate is free.  On an active box the
+    search takes about 40 us per projection at n = 80 (qp_box-m40-n80-s42 at
+    r = 0.05, and at r = 0.02 with `last10`).
 
     Input with NaN or infinite entries raises a ValueError, and so does input
     so large that the multiplier overflows or v - lam*a rounds a'z = b away:
@@ -278,38 +270,20 @@ class BoxHyperplane(ConvexSet):
         # coordinate i is free for lam in [enter_i, leave_i], at +r sign(a_i)
         # before and at -r sign(a_i) after
         enter, leave = (vn - self._edge) / an, (vn + self._edge) / an
-        lam = self._newton(vn, enter, leave, self._a_free.dot(vn) - self._b_free)
-        if lam is None:
+        # all free at lam in its overflow-free form, then at lam summed as the
+        # search's closed form sums it with every coordinate free (+ 0.0, the
+        # sum of no clipped terms, turns a -0.0 into 0.0 as that sum does)
+        e_max, l_min = np.maximum.reduce(enter), np.minimum.reduce(leave)
+        lam = self._a_free.dot(vn) - self._b_free
+        if e_max < lam < l_min:
+            lam = (an @ vn + 0.0 - self.b) / self._a2_sum
+        if not e_max < lam < l_min:
             lam = self._breakpoint(vn, enter, leave)
         # np.clip without its Python-level wrapper; v and lam are finite
         return np.minimum(np.maximum(v - lam * self.a, -self.r), self.r)
 
-    def _newton(self, vn: np.ndarray, enter: np.ndarray, leave: np.ndarray, lam: float):
-        """The multiplier by Newton passes from lam, or None when the free
-        set is empty or _NEWTON_PASSES passes leave the clip pattern moving."""
-        # every coordinate free at lam and at the next lam: the masked pass in
-        # closed form, `_multiplier` with `free` all true (+ 0.0 is the sum of
-        # the empty clipped set, and turns a -0.0 into 0.0 as that sum does)
-        e_max, l_min = np.maximum.reduce(enter), np.minimum.reduce(leave)
-        if e_max < lam < l_min:
-            lam_free = (self._an @ vn + 0.0 - self.b) / self._a2_sum
-            if e_max < lam_free < l_min:
-                return lam_free
-        upper = enter >= lam
-        free = ~upper & (leave > lam)
-        for _ in range(_NEWTON_PASSES):
-            if not np.count_nonzero(free):
-                return None
-            lam = self._multiplier(vn, free, upper)
-            upper_next = enter >= lam
-            free_next = ~upper_next & (leave > lam)
-            if not np.count_nonzero((free ^ free_next) | (upper ^ upper_next)):
-                return lam
-            upper, free = upper_next, free_next
-        return None
-
     def _breakpoint(self, vn: np.ndarray, enter: np.ndarray, leave: np.ndarray) -> float:
-        """The multiplier by the breakpoint search, from no starting point."""
+        """The multiplier by Kiwiel's breakpoint search."""
         kinks = np.concatenate((enter, leave))
         order = np.argsort(kinks, kind="stable")
         kinks = kinks[order]
@@ -321,14 +295,10 @@ class BoxHyperplane(ConvexSet):
         j = int(np.argmax(g <= 0.0))
         if j == 0:  # b = r||a||_1: the set is one point, reached at the first kink
             return kinks[0]
+        # the closed form on segment [kinks[j-1], kinks[j]]: a_i z_i of a
+        # clipped coordinate is r|a_i| before its kinks, -r|a_i| after
         free = (enter <= kinks[j - 1]) & (leave >= kinks[j])
-        return self._multiplier(vn, free, enter >= kinks[j])
-
-    def _multiplier(self, vn: np.ndarray, free: np.ndarray, upper: np.ndarray) -> float:
-        """lam at which a'z = b when the coordinates in `free` are free and the
-        others clipped, at +r sign(a_i) where `upper` holds."""
-        # a_i z_i of a clipped coordinate: r|a_i| before its kinks, -r|a_i| after
-        clipped = np.where(upper, self._r_abs_a, -self._r_abs_a)
+        clipped = np.where(enter >= kinks[j], self._r_abs_a, -self._r_abs_a)
         # np.add.reduce is ndarray.sum without its Python-level wrapper
         return ((self._an[free] @ vn[free] + np.add.reduce(clipped[~free]) - self.b)
                 / np.add.reduce(self._a2[free]))

@@ -171,6 +171,18 @@ def test_run_benchmark_rejects_empty_and_unknown():
             run_benchmark(_tiny_suite(), ["rpf-sfista"], eps_hat, time_limit)
 
 
+def test_run_benchmark_rejects_no_methods_before_building(monkeypatch, capsys):
+    """An empty method list is rejected up front: no instance is built, and
+    `bench run --methods ,` says why rather than that it has nothing to emit."""
+    builds = []
+    monkeypatch.setattr("sfista.bench.make_instance", builds.append)
+    with pytest.raises(ValueError, match="methods must be nonempty"):
+        run_benchmark(_tiny_suite(), [], 1e-8, 60.0)
+    err = _usage_error(capsys, bench_main, ["run", "--family", "lasso", "--methods", ","])
+    assert "error: methods must be nonempty" in err
+    assert builds == []
+
+
 def test_run_benchmark_error_captured_per_row():
     bad = InstanceSpec("qp_simplex", 10, 10, 0, alpha=1000.0,
                        mu_target=50.0, L_target=1e2)  # calibration infeasible
@@ -329,8 +341,16 @@ def test_desk_suite_families():
         suite = desk_suite(fam, seed=1)
         assert len(suite) == 4
         assert all(s.family == fam for s in suite)
+        assert [desk_suite(fam, seed=1, count=c) for c in (1, 2, 3)] == [suite[:c] for c in (1, 2, 3)]
     with pytest.raises(ValueError):
         desk_suite("nope")
+
+
+@pytest.mark.parametrize("family", ["logistic", "lasso", "qp_simplex", "qp_box"])
+@pytest.mark.parametrize("count", [-1, 0, 5, 9])
+def test_desk_suite_rejects_a_count_outside_1_to_4(family, count):
+    with pytest.raises(ValueError, match=f"count must be 1 to 4, got {count}"):
+        desk_suite(family, count=count)
 
 
 # ---------------------------------------------------------------------------

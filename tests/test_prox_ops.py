@@ -9,6 +9,7 @@ independent of the implementations under test.
 import itertools
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,6 @@ from sfista.prox_ops import (
     BoxHyperplane,
     L1Ball,
     Simplex,
-    _NEWTON_PASSES,
     _SIMPLEX_EXACT,
     project_simplex,
 )
@@ -414,39 +414,35 @@ def _box_hyperplane_case(draw):
     return v, a, b, r, kind
 
 
-def _solve_from(C, v, lam):
-    """(projection of v, its multiplier) by C's Newton passes from lam, or by
-    its breakpoint search where lam is None or the passes give up."""
+def _searched(C, v):
+    """(projection of v, its multiplier) by C's breakpoint search alone."""
     vn = v[C._nz]
     enter, leave = (vn - C._edge) / C._an, (vn + C._edge) / C._an
-    if lam is not None:
-        lam = C._newton(vn, enter, leave, lam)
-    if lam is None:
-        lam = C._breakpoint(vn, enter, leave)
-    return np.clip(v - lam * C.a, -C.r, C.r), lam
+    lam = C._breakpoint(vn, enter, leave)
+    return np.minimum(np.maximum(v - lam * C.a, -C.r), C.r), lam
+
+
+def _assert_exact(C, v, z, want=None):
+    """z lies in C up to roundoff, and within roundoff of `want` where given."""
+    vmax, a_l1 = np.abs(v).max(), np.abs(C.a).sum()
+    assert np.all(np.abs(z) <= C.r)
+    assert abs(C.a @ z - C.b) <= 1e-14 * (1 + abs(C.b) + a_l1 * (C.r + vmax))
+    if want is not None:
+        np.testing.assert_allclose(z, want, rtol=0, atol=1e-14 * (1 + vmax))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_box_hyperplane_case(), st.data())
-def test_box_hyperplane_exact_on_edge_cases(case, data):
-    """`project`, the breakpoint search, and Newton passes from the
-    multiplier of another input (v moved by up to its own size plus r per
-    coordinate) and from an arbitrary finite multiplier all meet the same
-    bounds."""
+@given(_box_hyperplane_case())
+def test_box_hyperplane_exact_on_edge_cases(case):
+    """`project` and the breakpoint search meet the same bounds."""
     v, a, b, r, kind = case
     C = BoxHyperplane(a, b, r)
-    vmax = np.abs(v).max()
-    move = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=v.size, max_size=v.size)))
-    starts = [None, _solve_from(C, v + move * (vmax + r), None)[1],
-              data.draw(st.floats(allow_nan=False, allow_infinity=False))]
+    # the oracle is exact, so this bounds the solve's roundoff
     want = oracle_box_hyperplane(v, a, b, r) if v.size <= 6 else None
-    for z in [C.project(v)] + [_solve_from(C, v, lam)[0] for lam in starts]:
-        assert np.all(np.abs(z) <= r)
-        assert abs(a @ z - b) <= 1e-14 * (1 + abs(b) + np.abs(a).sum() * (r + vmax))
+    for z in (C.project(v), _searched(C, v)[0]):
+        _assert_exact(C, v, z, want)
         if kind == "feasible":
             np.testing.assert_allclose(z, v, rtol=0, atol=1e-14 * (1 + np.abs(a).sum() * r))
-        if want is not None:  # the oracle is exact, so this bounds the solve's roundoff
-            np.testing.assert_allclose(z, want, rtol=0, atol=1e-14 * (1 + vmax))
 
 
 def _recorded_solve(monkeypatch, problem, z0):
@@ -478,21 +474,33 @@ def test_newton_prox_matches_breakpoint_bytes(monkeypatch):
     problem, z0 = gen_qp_box(8, 16, "last1", 5.0, 0.0, 1e-2, 1e2, 3)
     C, outputs, _ = _recorded_solve(monkeypatch, problem, z0)
     assert len(outputs) > 1000
-    monkeypatch.setattr(BoxHyperplane, "_newton", lambda self, *args: None)
     for p, z in outputs:
-        assert z.tobytes() == C.project(p).tobytes()
+        assert z.tobytes() == _searched(C, p)[0].tobytes()
 
 
-def test_desk_box_qp_runs_no_breakpoint_search(monkeypatch):
+def test_desk_box_qp_searches_at_its_first_projection_only(monkeypatch):
     """The fact the projection's design rests on: at r = 5 no desk box QP's
-    solution has a coordinate at the box bound, and the Newton passes from
-    the all-free multiplier settle every projection of an rpf-sfista solve
-    of qp_box-m40-n80-s42."""
+    solution has a coordinate at the box bound, and the all-free multiplier
+    settles every projection of an rpf-sfista solve of qp_box-m40-n80-s42
+    but its first, whose input lies far from the solution."""
     spec = desk_suite("qp_box", 42, 1)[0]
     assert spec.instance_id == "qp_box-m40-n80-s42"
     _, outputs, searches = _recorded_solve(monkeypatch, *make_instance(spec))
     assert len(outputs) > 1000
-    assert searches == []
+    assert searches == [0]
+
+
+@pytest.mark.parametrize("r, a_pattern", [(0.05, "last1"), (0.02, "last10")])
+def test_active_box_qp_projections_match_the_search(monkeypatch, r, a_pattern):
+    """With the box active (at r = 0.05, 70 of the 80 solution coordinates of
+    qp_box-m40-n80-s42 sit at a bound), rpf-sfista converges, and every
+    prox output is a member of the set with the breakpoint search's bytes."""
+    spec = replace(desk_suite("qp_box", 42, 1)[0], r=r, a_pattern=a_pattern)
+    C, outputs, searches = _recorded_solve(monkeypatch, *make_instance(spec))
+    assert len(searches) > 0
+    for p, z in outputs:
+        assert C.contains(z)
+        assert z.tobytes() == _searched(C, p)[0].tobytes()
 
 
 @st.composite
@@ -521,50 +529,28 @@ def _all_free_case(draw):
     return C, v, nudged
 
 
-def _masked_projection(C, v):
-    """C's projection of v by the masked Newton passes alone, from the
-    all-free multiplier, with the breakpoint search as the fallback."""
-    vn = v[C._nz]
-    enter, leave = (vn - C._edge) / C._an, (vn + C._edge) / C._an
-    lam, found = C._a_free.dot(vn) - C._b_free, None
-    upper = enter >= lam
-    free = ~upper & (leave > lam)
-    for _ in range(_NEWTON_PASSES):
-        if not free.any():
-            break
-        lam = C._multiplier(vn, free, upper)
-        upper_next = enter >= lam
-        free_next = ~upper_next & (leave > lam)
-        if np.array_equal(free, free_next) and np.array_equal(upper, upper_next):
-            found = lam
-            break
-        upper, free = upper_next, free_next
-    if found is None:
-        found = C._breakpoint(vn, enter, leave)
-    return np.minimum(np.maximum(v - found * C.a, -C.r), C.r)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_all_free_case())
 def test_all_free_newton_pass_keeps_the_masked_bytes(case):
-    """The projection equals the masked Newton passes' byte for byte, also
-    where a kink lies within ulps of the all-free multiplier.  Where every
-    coordinate is free it makes no masked pass and equals the breakpoint
-    search's; at a root within roundoff of a kink the masked passes and the
-    search may take the closed forms of the two neighbouring segments."""
+    """Where every coordinate is free, the projection runs no breakpoint
+    search and equals the search's byte for byte: both take the closed form
+    with every coordinate free.  Where a kink lies within ulps of the
+    all-free multiplier, the two paths may take the closed forms of the two
+    neighbouring segments, and both meet the edge cases' exactness bounds."""
     C, v, nudged = case
-    multipliers = []
-    multiplier = BoxHyperplane._multiplier
+    searches = []
+    breakpoint = BoxHyperplane._breakpoint
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BoxHyperplane, "_multiplier",
-                   lambda self, *args: multipliers.append(1) or multiplier(self, *args))
+        mp.setattr(BoxHyperplane, "_breakpoint",
+                   lambda self, *args: searches.append(1) or breakpoint(self, *args))
         z = C.project(v)
-    assert z.tobytes() == _masked_projection(C, v).tobytes()
-    if not nudged:
-        assert multipliers == []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(BoxHyperplane, "_newton", lambda self, *args: None)
-            assert z.tobytes() == C.project(v).tobytes()
+    want = _searched(C, v)[0]
+    if nudged:
+        _assert_exact(C, v, z, want)
+        _assert_exact(C, v, want)
+    else:
+        assert searches == []
+        assert z.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
