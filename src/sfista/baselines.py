@@ -117,7 +117,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
         x_tilde = X_tilde[pt]
         if gamma is None:  # doubling line search from a fixed x_tilde
             point = (X_tilde, oracle.grad(X_tilde), oracle.f(X_tilde))
-            L, _, g_xt, Y, f_y, _ = line_search(oracle, lambda L: point, L, 2.0)
+            L, _, g_xt, Y, f_y, _, _ = line_search(oracle, lambda L: point, L, 2.0)
             y = Y[pt]
             s = L * (x_tilde - y)
         else:

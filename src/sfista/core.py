@@ -339,7 +339,7 @@ def line_search(
     trial_point(L) returns (x_tilde, grad f(x_tilde), f(x_tilde)) for the
     current L, with x_tilde lifted (CountingOracle.lift).  Each trial y is
     lifted, which computes its image afresh.  Returns (L, x_tilde, grad, y,
-    f(y), ell_f(y; x_tilde)) for the accepted L, x_tilde and y lifted.
+    f(y), ell_f(y; x_tilde), y - x_tilde) for the accepted L, x_tilde and y lifted.
     Raises RuntimeError at the first NaN test value, naming the oracle that
     produced it, and when L passes 1e30.
     """
@@ -353,7 +353,7 @@ def line_search(
         ell = f_xt + float(g @ d)
         test = ell - f_y + (1.0 - _CHI) * L * float(d @ d) / 4.0
         if test >= -_LS_SLACK * (1.0 + abs(f_y)):
-            return L, X_tilde, g, Y, f_y, ell
+            return L, X_tilde, g, Y, f_y, ell, d
         if math.isnan(test):
             raise RuntimeError(nan_message(
                 "line search", "the acceptance test",

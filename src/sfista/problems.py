@@ -254,16 +254,16 @@ def _gen_qp(
             continue
         tau1, tau2, mu_actual, L_actual = cal
 
-        # the image of z is (r1, r2, grad f(z)) for r1 = M1 z, r2 = C z - d
-        def image(z, M1=M1, Cm=Cm, d=d, tau1=tau1, tau2=tau2):
-            r1, r2 = M1 @ z, Cm @ z - d
-            return np.concatenate((r1, r2, tau1 * (M1.T @ r1) + tau2 * (Cm.T @ r2)))
-
-        def value(z, k, tau1=tau1, tau2=tau2):
-            r1, r2 = k[:n], k[n:n + m]
-            return 0.5 * tau1 * float(r1 @ r1) + 0.5 * tau2 * float(r2 @ r2)
-
-        smooth = SmoothFunction(image, value, lambda z, k: k[n + m:])
+        # f(z) = tau1 ||M1 z||^2 / 2 + tau2 ||C z - d||^2 / 2 = z'Hz / 2 - c'z + k0;
+        # the image of z is its gradient g = Hz - c, and f(z) = z'(g - c) / 2 + k0
+        H = tau1 * H1 + tau2 * H2
+        c = tau2 * (Cm.T @ d)
+        k0 = 0.5 * tau2 * float(d @ d)
+        smooth = SmoothFunction(
+            image=lambda z: H @ z - c,
+            value=lambda z, g: 0.5 * float(z @ (g - c)) + k0,
+            grad=lambda z, g: g,
+        )
         problem = CompositeProblem(
             dim=n, f_eval=smooth.f_eval, f_grad=smooth.f_grad,
             h_prox=constraint.prox, h_eval=constraint.indicator,

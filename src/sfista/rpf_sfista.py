@@ -131,14 +131,14 @@ def _step_curvature(
 
 
 def restart_fires(
-    xi: np.ndarray, x0: np.ndarray, y: np.ndarray, x_tilde: np.ndarray, A: float, L: float
+    xi: np.ndarray, x0: np.ndarray, d: np.ndarray, x_tilde: np.ndarray, A: float, L: float
 ) -> bool:
-    """Restart predicate: ||xi - x0||^2 < chi A L ||y - x_tilde||^2.
+    """Restart predicate: ||xi - x0||^2 < chi A L ||d||^2 for d = y - x_tilde.
 
-    A near-stationary y (||y - x_tilde|| at roundoff scale) makes the
-    right-hand side vanish, so a restart would be spurious: it never fires.
+    A near-stationary y (||d|| at roundoff scale) makes the right-hand side
+    vanish, so a restart would be spurious: it never fires.
     """
-    nd = norm(y - x_tilde)
+    nd = norm(d)
     if nd <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)):
         return False
     return norm(xi - x0) ** 2 < _CHI * A * L * nd * nd
@@ -199,7 +199,7 @@ def solve_sfista(
             break
         total_iters += 1
 
-        L, X_tilde, g_xt, Y, f_y, ell_y = line_search(oracle, trial_point, L, _BETA)
+        L, X_tilde, g_xt, Y, f_y, ell_y, d = line_search(oracle, trial_point, L, _BETA)
         x_tilde, y = X_tilde[pt], Y[pt]
         if denom is None:
             # the first x_tilde is z0 (A = 0), up to rounding
@@ -208,7 +208,7 @@ def solve_sfista(
         if total_iters == 1:
             # the curvature along the first step: mu's bootstrap (a0 and y1
             # never depend on mu, as A0 = 0) and every cycle's floor
-            floor = _step_curvature(f_y, ell_y, y - x_tilde, x_tilde, _L_FIRST)
+            floor = _step_curvature(f_y, ell_y, d, x_tilde, _L_FIRST)
             mu = floor if mu is None else mu
 
         # the best-point tie (phi(y) equal to the incumbent) keeps y
@@ -228,7 +228,7 @@ def solve_sfista(
         A = A + a
         tau = tau_prev + a * mu / 2.0
         S = L * (X_tilde - Y)
-        X = (mu * a * Y / 2.0 + tau_prev * X - a * S) / tau
+        X = ((mu * a / 2.0) * Y + tau_prev * X - a * S) / tau
         s = S[pt]
         v = oracle.grad(Y) - g_xt + s
         Y_prev = Y
@@ -237,7 +237,7 @@ def solve_sfista(
         # to decrease phi -- impossible in exact arithmetic -- so the iterates
         # are at the numerical optimum and a restart would re-enter the same
         # cycle forever.
-        restart = xi_moved and restart_fires(XI[pt], X0[pt], y, x_tilde, A, L)
+        restart = xi_moved and restart_fires(XI[pt], X0[pt], d, x_tilde, A, L)
         if trace is not None:
             trace.append(SfistaTraceRow(
                 cycle=cycle, j=j, L=L, A=A, tau=tau, a=a, tau_prev=tau_prev,

@@ -377,13 +377,13 @@ PINNED_COUNTS = {
     ("qp_simplex", "fista-r"): (82, 4, 164, 164, 82),
     ("qp_simplex", "rada"): (252, 4, 0, 504, 252),
     ("qp_simplex", "greedy"): (207, 13, 0, 414, 207),
-    ("qp_simplex", "a-reg"): (377, 10, 771, 758, 381),
+    ("qp_simplex", "a-reg"): (376, 10, 769, 756, 380),
     ("qp_box", "rpf-sfista"): (5482, 5, 10965, 10964, 5482),
     ("qp_box", "fista-bt"): (30971, 1, 61942, 61942, 30971),
     ("qp_box", "fista-r"): (3267, 4, 6534, 6534, 3267),
     ("qp_box", "rada"): (10920, 3, 0, 21840, 10920),
     ("qp_box", "greedy"): (8422, 22, 0, 16844, 8422),
-    ("qp_box", "a-reg"): (37660, 44, 75969, 75635, 37975),
+    ("qp_box", "a-reg"): (37401, 43, 75453, 75118, 37717),
 }
 
 

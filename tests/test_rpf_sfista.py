@@ -148,7 +148,8 @@ def test_momentum_fixed_point_gives_zero_residual():
 
 
 def _fires(xi, x0, y, x_tilde, A=1.0, L=1.0):
-    return restart_fires(*(np.asarray(p, float) for p in (xi, x0, y, x_tilde)), A, L)
+    xi, x0, y, x_tilde = (np.asarray(p, float) for p in (xi, x0, y, x_tilde))
+    return restart_fires(xi, x0, y - x_tilde, x_tilde, A, L)
 
 
 def test_restart_fires_when_xi_at_start():

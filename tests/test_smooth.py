@@ -3,10 +3,10 @@ quadratic's gradient.
 
 Every generator family builds its f as a SmoothFunction whose image is one
 flat ndarray, affine in z, and the solvers hold each point with its image
-appended (CountingOracle.lift).  A quadratic's image (lasso and both QPs)
-ends with its gradient, and an A-REG subproblem keeps its base image, so an
-affine combination of points carries both and only prox outputs need a
-fresh image.
+appended (CountingOracle.lift).  A quadratic's image holds its gradient
+(the lasso's ends with it; a QP's is its gradient), and an A-REG subproblem
+keeps its base image, so an affine combination of points carries both and
+only prox outputs need a fresh image.
 These tests pin the layout of a lifted point, that f and grad f from a fresh
 image are exactly the separate calls, that images are affine, that carried
 ones stay within roundoff of fresh ones over long runs, that replacing an
@@ -89,10 +89,10 @@ def _scale(smooth, dim):
 
 
 # the image's length: logistic t = Dz (m = 30); lasso r = Az - b and A'r
-# (m = 20, n = 40); a QP's (M1 z, Cz - d, grad f) (n = 16, m = 10 and 8); an
-# A-REG subproblem's is its base problem's, here the lasso's
-_IMAGE_LENGTH = {"logistic": 30, "lasso": 20 + 40, "qp_simplex": 16 + 10 + 16,
-                 "qp_box": 16 + 8 + 16, "a-reg subproblem": 20 + 40}
+# (m = 20, n = 40); a QP's is its gradient Hz - c (n = 16); an A-REG
+# subproblem's is its base problem's, here the lasso's
+_IMAGE_LENGTH = {"logistic": 30, "lasso": 20 + 40, "qp_simplex": 16, "qp_box": 16,
+                 "a-reg subproblem": 20 + 40}
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -149,6 +149,36 @@ def test_image_is_affine(family, data):
     zmax = max(float(np.linalg.norm(z1)), float(np.linalg.norm(z2)))
     bound = 4.0 * _EPS * weights * (k0 + nK * zmax)
     assert float(np.max(np.abs(smooth.image(z) - carried))) <= bound
+
+
+@pytest.mark.parametrize("family", ["qp_box", "qp_simplex"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_qp_value_agrees_with_its_gradient(family, data):
+    # a QP's image is its gradient g = Hz - c, which grad returns as it is,
+    # so the gradient is computed and counted with the image.  Its value
+    # z'(g - c) / 2 + k0 reads that image, and for a quadratic
+    # f(y) - f(x) = (grad f(x) + grad f(y)).(y - x) / 2 exactly.  A dot
+    # product of n terms is accurate to n eps times the dot product of the
+    # absolute values, so the two sides differ by at most
+    # 2 n eps (k0 + sum over z = x, y of |c|.|z| + |z|.|g(z)|): a value that
+    # drifts from its gradient fails.  On these instances the gap stayed
+    # below eps times that sum, structured points (eigenvectors of H,
+    # alternating signs) included
+    problem, _ = _instance(family)
+    smooth = smooth_of(problem)
+    n = problem.dim
+    zero = np.zeros(n)
+    c = -smooth.image(zero)
+    k0 = smooth.value(zero, -c)
+    vectors = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+    x, y = np.array(data.draw(vectors)), np.array(data.draw(vectors))
+    gx, gy = smooth.image(x), smooth.image(y)
+    assert smooth.grad(x, gx) is gx and smooth.grad(y, gy) is gy
+    gap = smooth.value(y, gy) - smooth.value(x, gx) - 0.5 * float((gx + gy) @ (y - x))
+    scale = k0 + sum(float(np.abs(c) @ np.abs(z) + np.abs(z) @ np.abs(g))
+                     for z, g in ((x, gx), (y, gy)))
+    assert abs(gap) <= 2.0 * n * _EPS * scale
 
 
 _METHODS = ["rpf-sfista", "fista-bt", "fista-r", "rada", "greedy"]
