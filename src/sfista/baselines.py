@@ -11,7 +11,6 @@ apples-to-apples.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +18,10 @@ import numpy as np
 from .core import (
     _L_FIRST,
     CompositeProblem,
-    CountingOracle,
+    Run,
     SolveOutput,
-    check_end_h,
-    check_start,
+    StopConfig,
     line_search,
-    nan_message,
-    norm,
-    residual_denominator,
 )
 
 __all__ = [
@@ -40,8 +35,8 @@ __all__ = [
 
 
 @dataclass
-class BaselineConfig:
-    """Knobs for the four comparison methods.
+class BaselineConfig(StopConfig):
+    """Settings of the four comparison methods: `core.StopConfig`'s stop settings alone.
 
     The backtracking variants start their doubling line search at
     `core._L_FIRST`.  The fixed-step variants need the global Lipschitz
@@ -49,18 +44,6 @@ class BaselineConfig:
     the greedy one (`_RULES`).
     All four stop on the relative residual ||v|| / (1 + ||grad f(z0)||) <= eps_hat.
     """
-
-    eps_hat: float = 1e-8
-    max_total_iters: int = 10**6
-    time_limit: float = 7200.0
-
-    def __post_init__(self):
-        if not self.eps_hat > 0:
-            raise ValueError("eps_hat must be positive")
-        if not self.max_total_iters >= 0:
-            raise ValueError("max_total_iters must be nonnegative")
-        if not self.time_limit >= 0:
-            raise ValueError("time_limit must be nonnegative")
 
 
 def gradient_restart_fires(y_prev: np.ndarray, y: np.ndarray, x_tilde: np.ndarray) -> bool:
@@ -87,32 +70,26 @@ _RULES = {
 
 def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:
     step, restart, momentum = _RULES[method]
-    z0 = check_start(problem, z0)
-    start = time.monotonic()
+    run = Run(method, problem, z0, config, "relative")
     L, gamma = _L_FIRST, None
     if step is not None:
         if problem.known_L is None or problem.known_L <= 0:
             raise ValueError("fixed-step baselines need problem.known_L")
         gamma = step / problem.known_L
         L = 1.0 / gamma  # reported as L_final
-    oracle = CountingOracle(problem)
+    oracle = run.oracle
     pt = oracle.pt
 
     t = 1.0
     # lifted points (CountingOracle.lift); a carried x_tilde image combines
     # the fresh ones of y and y_prev, so it cannot drift
-    Y_prev = X_tilde = Y = oracle.lift(z0)
-    denom = None
+    Y_prev = X_tilde = Y = oracle.lift(run.z0)
     phi_prev = math.inf
     restarts = 0
     v = np.zeros(problem.dim)
-    residual = math.inf
-    status = "iter_cap"
     j = 0
-    while j < config.max_total_iters:
-        if time.monotonic() - start > config.time_limit:
-            status = "time_cap"
-            break
+    running, certify = run.running, run.certify
+    while running(j):
         j += 1
         x_tilde = X_tilde[pt]
         if gamma is None:  # doubling line search from a fixed x_tilde
@@ -125,17 +102,8 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
             y = oracle.prox(x_tilde - gamma * g_xt, gamma)
             Y = oracle.lift(y)
             s = (x_tilde - y) / gamma
-        if denom is None:  # the first x_tilde is z0
-            denom = residual_denominator("relative", g_xt)
-        g_y = oracle.grad(Y)
-        v = g_y - g_xt + s
-        residual = norm(v) / denom
-        if math.isnan(residual):  # grad f(y) is not part of a line-search test
-            raise RuntimeError(nan_message(
-                method, "the residual", (("grad", g_xt), ("prox", y), ("grad", g_y)),
-            ))
-        if residual <= config.eps_hat:
-            status = "converged"
+        v, converged = certify(Y, g_xt, s)
+        if converged:
             break
 
         if restart == "value":
@@ -157,14 +125,7 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
             t = t_next
         Y_prev = Y
 
-    # y is a copy, so that it holds no lifted point's image alive
-    y = Y[pt].copy()
-    check_end_h(method, oracle.h(y))
-    return SolveOutput(
-        y=y, v=v, L_final=L, cycles=restarts + 1, total_iters=j,
-        counters=oracle.counters, status=status, residual=residual,
-        runtime_s=time.monotonic() - start,
-    )
+    return run.output(Y, v, L_final=L, cycles=restarts + 1, total_iters=j)
 
 
 def solve_fista_bt(problem: CompositeProblem, config: BaselineConfig, z0: np.ndarray) -> SolveOutput:

@@ -3,12 +3,13 @@
 A composite problem is min f(z) + h(z) with f smooth convex and h closed
 proper convex (typically the indicator of a constraint set).  Problems are
 immutable oracle bundles; all mutable per-solve state (iterates, counters)
-lives in the solver.
+lives in the solver and its `Run`, the frame all five methods share.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -306,25 +307,89 @@ def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> 
     return z0
 
 
-def check_end_h(where: str, h: float) -> None:
-    """Raise unless h at the y a solver returns is below inf: a NaN is the h
-    oracle's, an inf that of the prox oracle that returned y."""
-    if not h < math.inf:
-        if math.isnan(h):
-            raise RuntimeError(f"{where}: the h oracle returned NaN at the returned y")
-        raise RuntimeError(f"{where}: the prox oracle returned a point where h is inf")
+@dataclass
+class StopConfig:
+    """The stop settings of rpf-sfista and the four comparison methods: the
+    residual tolerance, the iteration cap and the time cap in seconds."""
+
+    eps_hat: float = 1e-8
+    max_total_iters: int = 10**6
+    time_limit: float = 7200.0
+
+    def __post_init__(self):
+        # written as `not x > 0` so that NaN fails too
+        if not self.eps_hat > 0:
+            raise ValueError("eps_hat must be positive")
+        if not self.max_total_iters >= 0:
+            raise ValueError("max_total_iters must be nonnegative")
+        if not self.time_limit >= 0:
+            raise ValueError("time_limit must be nonnegative")
 
 
-def residual_denominator(mode: str, grad_f_z0: np.ndarray) -> float:
-    """Denominator of the residual test: 1 + ||grad f(z0)|| in 'relative'
-    mode, else 1.
-
-    The solvers pass the gradient at their first x_tilde, which is z0 (for
-    RPF-SFISTA up to the rounding of (A y + a x) / (A + a) at A = 0), so
-    grad f(z0) is evaluated once, counted and shape-checked like every other
-    gradient.
+class Run:
+    """The frame of one solve that rpf-sfista and the four comparison methods
+    share, so that all five stop by one rule: the start check, the oracle
+    count, the caps, the certificate and the output.  A loop runs `while
+    run.running(iters)` and leaves by a break once `certify` reports
+    convergence, or at a cap.  `where` names the solver in errors; `mode` is
+    the residual test's: 'relative' divides ||v|| by 1 + ||grad f(z0)||,
+    'absolute' by 1.
     """
-    return 1.0 + norm(grad_f_z0) if mode == "relative" else 1.0
+
+    def __init__(self, where: str, problem: CompositeProblem, z0: np.ndarray,
+                 config: StopConfig, mode: str):
+        self.z0 = check_start(problem, z0)
+        self.start = time.monotonic()
+        self.oracle = CountingOracle(problem)
+        self.where, self.mode, self.config = where, mode, config
+        self.status = "converged"  # unless `running` stops the loop at a cap
+        self.residual = math.inf
+        self.denom = None
+
+    def running(self, iters: int) -> bool:
+        """Whether another iteration may start after `iters`: not at the
+        iteration cap, nor past the time cap, which sets the status."""
+        if iters >= self.config.max_total_iters:
+            self.status = "iter_cap"
+            return False
+        if time.monotonic() - self.start > self.config.time_limit:
+            self.status = "time_cap"
+            return False
+        return True
+
+    def certify(self, Y: np.ndarray, g_xt: np.ndarray, s: np.ndarray):
+        """(v, converged): v = grad f(y) - g_xt + s in grad f(y) + dh(y) for
+        the lifted prox output Y of the step from x_tilde, and whether
+        ||v|| / denominator <= eps_hat.  The denominator is taken from the
+        first call's g_xt, the gradient at the first x_tilde: z0, for
+        rpf-sfista up to rounding.  grad f(y) enters no line-search test, so
+        its NaN shows here, as a RuntimeError naming the oracle."""
+        g_y = self.oracle.grad(Y)
+        if self.denom is None:
+            self.denom = 1.0 + norm(g_xt) if self.mode == "relative" else 1.0
+        v = g_y - g_xt + s
+        self.residual = norm(v) / self.denom
+        if math.isnan(self.residual):
+            raise RuntimeError(nan_message(
+                self.where, "the residual",
+                (("grad", g_xt), ("prox", Y[self.oracle.pt]), ("grad", g_y)),
+            ))
+        return v, self.residual <= self.config.eps_hat
+
+    def output(self, Y: np.ndarray, v: np.ndarray, **fields) -> SolveOutput:
+        """The SolveOutput of the lifted last prox output Y, with a copy of y
+        that holds no image alive.  Raises unless h(y) < inf: a NaN is the h
+        oracle's, an inf that of the prox oracle that returned y."""
+        y = Y[self.oracle.pt].copy()
+        h = self.oracle.h(y)
+        if not h < math.inf:
+            if math.isnan(h):
+                raise RuntimeError(f"{self.where}: the h oracle returned NaN at the returned y")
+            raise RuntimeError(f"{self.where}: the prox oracle returned a point where h is inf")
+        return SolveOutput(
+            y=y, v=v, counters=self.oracle.counters, status=self.status,
+            residual=self.residual, runtime_s=time.monotonic() - self.start, **fields,
+        )
 
 
 def line_search(

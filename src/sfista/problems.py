@@ -364,7 +364,8 @@ def load_matrix_market(path: str):
     Returns a scipy CSR matrix for coordinate files and a dense ndarray for
     array files.  Raises ValueError, prefixed with the path, on other fields
     or symmetries and on malformed input; scipy's message names the line
-    where it has one.  Comments may only precede the size line.
+    where it has one, and on NaN or infinite entries.  Comments may only
+    precede the size line.
     """
     # imported here, not at module level: scipy.io loads scipy.sparse, which
     # `import sfista` would otherwise pay for on every run that reads no file
@@ -380,8 +381,8 @@ def load_matrix_market(path: str):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if isinstance(M, np.ndarray):
-        return np.asarray(M, dtype=float)
-    return M.tocsr().astype(float, copy=False)
+        return _finite(path, np.asarray(M, dtype=float))
+    return _finite(path, M.tocsr().astype(float, copy=False))
 
 
 def load_csv_matrix(path: str) -> np.ndarray:
@@ -393,7 +394,14 @@ def load_csv_matrix(path: str) -> np.ndarray:
         [float(tok) for tok in first.strip().split(",") if tok]
     except ValueError:
         skip = 1
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", skiprows=skip))
+    return _finite(path, np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2))
+
+
+def _finite(path: str, M):
+    """M, read from path, unless an entry is NaN or infinite: a ValueError."""
+    if not np.isfinite(M if isinstance(M, np.ndarray) else M.data).all():
+        raise ValueError(f"{path}: the matrix has NaN or infinite entries")
+    return M
 
 
 def make_instance(spec: InstanceSpec) -> Tuple[CompositeProblem, np.ndarray]:

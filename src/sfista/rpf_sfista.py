@@ -11,7 +11,6 @@ No knowledge of the true Lipschitz or strong convexity constants is needed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -22,14 +21,11 @@ from .core import (
     _L_FIRST,
     _LS_SLACK,
     CompositeProblem,
-    CountingOracle,
+    Run,
     SolveOutput,
-    check_end_h,
-    check_start,
+    StopConfig,
     line_search,
-    nan_message,
     norm,
-    residual_denominator,
 )
 
 __all__ = [
@@ -47,8 +43,8 @@ _BETA = 1.25
 
 
 @dataclass
-class SfistaConfig:
-    """Inputs and tuning knobs of the restarted solver.
+class SfistaConfig(StopConfig):
+    """Tuning knobs of the restarted solver, after `core.StopConfig`'s stop settings.
 
     No L is supplied: the first step starts at `core._L_FIRST`, and from
     j = 2 on L and every cycle's floor are the curvature along the first
@@ -63,26 +59,18 @@ class SfistaConfig:
 
     mu0: Optional[float] = None
     mu_shrink: float = 0.5
-    eps_hat: float = 1e-8
     residual_mode: str = "absolute"
-    max_total_iters: int = 10**6
-    time_limit: float = 7200.0
     trace: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         # written as `not 0 < x < inf` so that NaN fails too
         if self.mu0 is not None and not 0 < self.mu0 < math.inf:
             raise ValueError("fixed mu0 must be positive and finite")
         if not 0 < self.mu_shrink < 1:
             raise ValueError("mu_shrink must lie in (0, 1)")
-        if not self.eps_hat > 0:
-            raise ValueError("eps_hat must be positive")
         if self.residual_mode not in ("absolute", "relative"):
             raise ValueError(f"unknown residual_mode {self.residual_mode!r}")
-        if not self.max_total_iters >= 0:
-            raise ValueError("max_total_iters must be nonnegative")
-        if not self.time_limit >= 0:
-            raise ValueError("time_limit must be nonnegative")
 
 
 @dataclass
@@ -158,12 +146,9 @@ def solve_sfista(
     step weight overflows, which a long enough cycle reaches through the
     growth of A and tau, and when h is inf or NaN at the returned y.
     """
-    z0 = check_start(problem, z0)
-
-    start = time.monotonic()
-    oracle = CountingOracle(problem)
+    run = Run("RPF-SFISTA", problem, z0, config, config.residual_mode)
+    oracle = run.oracle
     pt = oracle.pt
-    denom = None
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
     mu = config.mu0  # None until bootstrapped
@@ -171,13 +156,12 @@ def solve_sfista(
     A, tau, L, a = 0.0, 1.0, _L_FIRST, 0.0
     # lifted points (CountingOracle.lift): the momentum point x, the previous
     # y, the best point xi and the cycle's start x0; Y is the last prox output
-    X = Y_prev = XI = X0 = Y = oracle.lift(z0)
-    phi_xi = oracle.f(X) + oracle.h(z0)
+    X = Y_prev = XI = X0 = Y = oracle.lift(run.z0)
+    phi_xi = oracle.f(X) + oracle.h(run.z0)
     # whether xi has left the cycle's start point (always true in exact
     # arithmetic after j = 1, by strict descent of the first prox step)
     xi_moved = False
     v = np.zeros(problem.dim)
-    status = "iter_cap"
 
     def trial_point(L):
         # x_tilde moves with L through the step weight a; the last trial's a
@@ -193,18 +177,12 @@ def solve_sfista(
         f_xt = oracle.f(X_tilde)
         return X_tilde, oracle.grad(X_tilde), f_xt
 
-    while total_iters < config.max_total_iters:
-        if time.monotonic() - start > config.time_limit:
-            status = "time_cap"
-            break
+    running, certify = run.running, run.certify
+    while running(total_iters):
         total_iters += 1
 
         L, X_tilde, g_xt, Y, f_y, ell_y, d = line_search(oracle, trial_point, L, _BETA)
         x_tilde, y = X_tilde[pt], Y[pt]
-        if denom is None:
-            # the first x_tilde is z0 (A = 0), up to rounding
-            denom = residual_denominator(config.residual_mode, g_xt)
-
         if total_iters == 1:
             # the curvature along the first step: mu's bootstrap (a0 and y1
             # never depend on mu, as A0 = 0) and every cycle's floor
@@ -230,7 +208,7 @@ def solve_sfista(
         S = L * (X_tilde - Y)
         X = ((mu * a / 2.0) * Y + tau_prev * X - a * S) / tau
         s = S[pt]
-        v = oracle.grad(Y) - g_xt + s
+        v, converged = certify(Y, g_xt, s)
         Y_prev = Y
 
         # If xi never left the cycle's start point, the first prox step failed
@@ -256,25 +234,10 @@ def solve_sfista(
             X = Y_prev = X0 = XI
             continue
 
-        residual = norm(v) / denom
-        if math.isnan(residual):
-            # grad f(y) is not part of the line-search test; with x_tilde and
-            # y finite, v is NaN only through it
-            raise RuntimeError(nan_message(
-                "RPF-SFISTA", "the residual", (("grad", g_xt), ("prox", y), ("grad", v)),
-            ))
-        if residual <= config.eps_hat:
-            status = "converged"
+        if converged:
             break
 
         j += 1
 
-    # copies, so that an output holds no lifted point's image alive
-    y = Y[pt].copy()
-    check_end_h("RPF-SFISTA", oracle.h(y))
-    return SolveOutput(
-        y=y, v=v, xi=y if XI is Y else XI[pt].copy(), L_final=L,
-        cycles=cycle, total_iters=total_iters, counters=oracle.counters, status=status,
-        residual=math.inf if denom is None else norm(v) / denom,
-        trace=trace, runtime_s=time.monotonic() - start,
-    )
+    return run.output(Y, v, xi=XI[pt].copy(), L_final=L, cycles=cycle,
+                      total_iters=total_iters, trace=trace)

@@ -634,3 +634,88 @@ def test_cli_solve_on_matrix_market(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "status: converged" in out
+
+
+def test_cli_config_given_with_an_equals_sign(tmp_path, monkeypatch, capsys, solves):
+    # --config=FILE reads the file as --config FILE does: its bad value is the error
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("A.csv", np.eye(3), delimiter=",")
+    (tmp_path / "x.cfg").write_text("method = nope\n")
+    err = _usage_error(capsys, solve_main, ["--problem", "A.csv", "--config=x.cfg"])
+    assert "argument --method: invalid choice: 'nope'" in err
+    assert solves == []
+
+
+def test_cli_config_cannot_name_another_config(tmp_path, monkeypatch, capsys, solves):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cfg").write_text("config = y.cfg\n")
+    err = _usage_error(capsys, bench_main, ["run", "--family", "lasso", "--config", "x.cfg"])
+    assert "error: x.cfg: a config file cannot name another config file" in err
+    assert solves == []
+
+
+def test_cli_bench_run_prints_a_markdown_table(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = bench_main(["run", "--family", "lasso", "--methods", "greedy", "--eps", "1e-4",
+                     "--format", "markdown", "--out", str(out)])
+    assert rc == 0
+    table = emit_table(parse_csv(out.read_text()), "markdown")
+    assert capsys.readouterr().out == f"{table}\nwrote 4 records to {out}\n"
+
+
+def test_cli_solve_rejects_an_unsupported_problem_file(tmp_path, monkeypatch, capsys, solves):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("A.txt", np.eye(3))
+    err = _usage_error(capsys, solve_main, ["--problem", "A.txt"])
+    assert "error: unsupported problem file 'A.txt' (expected .mtx or .csv)" in err
+    assert solves == []
+
+
+def _solve_output(capsys, argv, A, b):
+    """Run `solve` and check that it printed the registry's rpf-sfista run on
+    the lasso of A and b."""
+    assert solve_main(argv) == 0
+    problem, z0 = gen_lasso(A, b, 1.0)
+    out = METHODS["rpf-sfista"](problem, z0, 1e-8, 7200.0)
+    printed = capsys.readouterr().out
+    assert f"iterations: {out.total_iters}\nprox evals: {out.counters.prox_evals}\n" in printed
+
+
+def test_cli_solve_reads_the_rhs(tmp_path, monkeypatch, capsys):
+    # b from a one-column file in place of the seeded random one
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((8, 5)), rng.standard_normal(8)
+    np.savetxt("A.csv", A, delimiter=",")
+    np.savetxt("b.csv", b[:, None], delimiter=",")
+    _solve_output(capsys, ["--problem", "A.csv", "--rhs", "b.csv", "--eps", "1e-8"], A, b)
+
+
+def test_cli_solve_on_a_one_column_matrix(tmp_path, monkeypatch, capsys):
+    # an m x 1 file is an m x 1 matrix, both as A and as the rhs
+    monkeypatch.chdir(tmp_path)
+    col = np.arange(1.0, 6.0)
+    np.savetxt("col.csv", col[:, None], delimiter=",")
+    _solve_output(capsys, ["--problem", "col.csv", "--rhs", "col.csv", "--eps", "1e-8"],
+                  col[:, None], col)
+    _solve_output(capsys, ["--problem", "col.csv", "--eps", "1e-8"],
+                  col[:, None], np.random.default_rng(0).standard_normal(5))
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["--problem", "nan.csv"], "nan.csv"),
+    (["--problem", "nan.csv", "--method", "greedy"], "nan.csv"),
+    (["--problem", "nan.mtx"], "nan.mtx"),
+    (["--problem", "A.csv", "--rhs", "b.csv"], "b.csv"),
+])
+def test_cli_solve_rejects_nan_or_infinite_input(tmp_path, monkeypatch, capsys, solves,
+                                                argv, bad):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("A.csv", np.eye(3), delimiter=",")
+    (tmp_path / "nan.csv").write_text("1.0,0.0,nan\n0.0,1.0,0.0\n0.0,0.0,1.0\n")
+    (tmp_path / "b.csv").write_text("1.0\n-inf\n0.0\n")
+    (tmp_path / "nan.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 1 inf\n2 2 1.0\n")
+    err = _usage_error(capsys, solve_main, argv)
+    assert f"error: {bad}: the matrix has NaN or infinite entries" in err
+    assert solves == []

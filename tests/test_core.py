@@ -2,8 +2,10 @@
 the solvers' NaN handling, the oracle's output-shape check and the
 solvers' check that h is finite at the point they return."""
 
+import itertools
 import math
 import struct
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,12 +25,13 @@ from sfista.core import (
     CompositeProblem,
     CountingOracle,
     OracleCounters,
+    Run,
     SmoothFunction,
+    StopConfig,
     check_start,
     eval_phi,
     grad_fd_check,
     norm,
-    residual_denominator,
 )
 from sfista.problems import make_instance
 from sfista.prox_ops import BoxHyperplane, L1Ball
@@ -121,11 +124,16 @@ def test_grad_fd_check_rejects_bad_step():
 
 
 def test_residual_denominator():
-    # relative: ||v|| / (1 + ||grad f(z0)||), so ||(2, 0)|| / 2 = 1
-    assert residual_denominator("relative", np.array([1.0, 0.0])) == 2.0
-    assert residual_denominator("relative", np.array([3.0, 4.0])) == 6.0
-    assert residual_denominator("relative", np.zeros(2)) == 1.0
-    assert residual_denominator("absolute", np.array([3.0, 4.0])) == 1.0
+    # the frame divides ||v|| by 1 + ||g_xt|| of its first certify call in
+    # relative mode, by 1 in absolute mode
+    problem = _quadratic_problem(2)
+    for mode, g, denom in [("relative", [1.0, 0.0], 2.0), ("relative", [3.0, 4.0], 6.0),
+                           ("relative", [0.0, 0.0], 1.0), ("absolute", [3.0, 4.0], 1.0)]:
+        run = Run("test", problem, np.zeros(2), StopConfig(), mode)
+        Y = run.oracle.lift(np.ones(2))
+        for g_xt in (np.array(g), 10.0 * np.array(g) + 1.0):
+            v, _ = run.certify(Y, g_xt, np.zeros(2))
+            assert run.residual == norm(v) / denom
 
 
 def _nan_after(k, problem, field_name, counts):
@@ -366,3 +374,48 @@ def test_library_set_is_checked_at_the_start_and_the_end_only(
     assert plain.y.tobytes() == out.y.tobytes() and plain.total_iters == out.total_iters
     per_iter = out.total_iters - (method == "fista-r")
     assert len(calls) == at_start + per_iter + 1
+
+
+@pytest.mark.parametrize("method", [*METHODS, "a-reg"])
+@pytest.mark.parametrize("limit", [0.0, 5.5])
+def test_time_cap(monkeypatch, method, limit):
+    # each iteration reads the clock once, so a limit of 5.5 s stops every
+    # solve after a few iterations, and 0 before the first; A-REG's outer
+    # check passes at 5.5 s, and its first inner solve is the one capped
+    problem, z0 = make_instance(desk_suite("lasso", 42, 1)[0])
+    monkeypatch.setattr(time, "monotonic", itertools.count(1.0).__next__)  # 1 s a read
+    if method == "a-reg":
+        out = solve_areg(problem, ARegConfig(eps=1e-12, time_limit=limit), z0)
+        assert out.status == "time_cap" and problem.h_eval(out.w) == 0.0
+        assert out.outer_iters == len(out.inner_outputs) == (limit > 0)
+        if limit == 0.0:
+            return
+        out, denom = out.inner_outputs[0], 1.0  # absolute residual mode
+    else:
+        out = METHODS[method](problem, z0, 1e-13, limit)
+        denom = 1.0 + norm(problem.f_grad(z0))
+    assert out.status == "time_cap" and problem.h_eval(out.y) == 0.0
+    if limit == 0.0:
+        assert out.total_iters == 0 and out.residual == math.inf
+    else:
+        assert 0 < out.total_iters <= 5
+        assert out.residual == pytest.approx(norm(out.v) / denom, rel=1e-12)
+
+
+def test_nan_grad_at_a_restart_y_raises():
+    # grad f(y) enters only the certificate v, which every iteration checks,
+    # restart iterations included; f_grad is a plain callable, so the
+    # iterates of the two solves match up to the first restart
+    problem, z0 = make_instance(desk_suite("logistic", 42, 1)[0])
+    f_grad = problem.f_grad
+    plain = replace(problem, f_grad=lambda z: f_grad(z))
+    cfg = SfistaConfig(mu_shrink=0.1, residual_mode="relative", trace=True)
+    rows = solve_sfista(plain, cfg, z0).trace
+    first = next(row for row in rows if row.restarted)
+    assert (first.cycle, first.j) == (1, 59)
+
+    def grad(z):
+        return f_grad(z) * math.nan if np.array_equal(z, first.y) else f_grad(z)
+
+    with pytest.raises(RuntimeError, match="RPF-SFISTA: the grad oracle returned NaN"):
+        solve_sfista(replace(problem, f_grad=grad), replace(cfg, trace=False), z0)

@@ -509,3 +509,26 @@ def test_csv_matrix_without_header(tmp_path):
     path.write_text("1.0,2.0\n3.0,4.0\n")
     M = load_csv_matrix(str(path))
     np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_csv_matrix_one_column_and_one_row(tmp_path):
+    # one column is an m x 1 matrix, not a 1 x m one
+    col, row = tmp_path / "col.csv", tmp_path / "row.csv"
+    np.savetxt(col, np.arange(5.0)[:, None], delimiter=",")
+    np.savetxt(row, np.arange(5.0)[None, :], delimiter=",")
+    np.testing.assert_array_equal(load_csv_matrix(str(col)), np.arange(5.0)[:, None])
+    np.testing.assert_array_equal(load_csv_matrix(str(row)), np.arange(5.0)[None, :])
+
+
+@pytest.mark.parametrize("name,text", [
+    ("nan.csv", "1.0,nan\n3.0,4.0\n"),
+    ("inf.csv", "x,y\n1.0,2.0\n-inf,4.0\n"),
+    ("array.mtx", "%%MatrixMarket matrix array real general\n2 2\n1.0\ninf\n3.0\n4.0\n"),
+    ("coord.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 2.0\n"),
+])
+def test_loaders_reject_nan_or_infinite_entries(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    load = load_csv_matrix if name.endswith(".csv") else load_matrix_market
+    with pytest.raises(ValueError, match=f"{name}: the matrix has NaN or infinite entries"):
+        load(str(path))
