@@ -15,7 +15,8 @@ drift that two separate `perfbench/run.py` runs see, which can exceed a
 
 Each job's CPU time (`time.process_time` around the solve) is kept per rep.
 The report gives, per method and in total, the ratio of the sums over jobs
-of the per-job minimum and of the per-job median, the total iterations of
+of the per-job minimum and of the per-job median, each with a 95% bootstrap
+interval over reps (`_intervals`), the total iterations of
 each checkout (for A-REG, the sum of its inner solves' iterations), so that a
 change of iterates shows whether its saving comes from fewer iterations, and
 counts the jobs whose outputs have the same bytes in both checkouts.  Every answer goes through
@@ -33,6 +34,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -40,6 +42,11 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the per-job statistics that the report sums over jobs
+STATS = (("min", min), ("median", statistics.median))
+# bootstrap draws behind each 95% interval; the seed is fixed, so a rerun on
+# the same times prints the same interval
+_DRAWS = 2000
 
 
 def worker(root: Path, workload_name: str, instance_seed: int) -> int:
@@ -116,6 +123,28 @@ def _ratio(change: float, base: float) -> float:
     return change / base if base > 0 else float("nan")
 
 
+def _intervals(cpu: dict, groups: dict, reps: int) -> dict:
+    """{(group, stat): (low, high)}, the 95% percentile-bootstrap interval of
+    each group's min and median ratio.  A draw resamples the reps with
+    replacement, the same reps for every job and both checkouts, since rep r
+    of the two ran side by side under one host load."""
+    rng = random.Random(0)
+    jobs = range(len(cpu["base"]))
+    draws = {(group, stat): [] for group in groups for stat, _ in STATS}
+    for _ in range(_DRAWS):
+        pick = [rng.randrange(reps) for _ in range(reps)]
+        for stat, fn in STATS:
+            per_job = {name: [fn([times[j][r] for r in pick]) for j in jobs]
+                       for name, times in cpu.items()}
+            for group, js in groups.items():
+                draws[group, stat].append(_ratio(sum(per_job["change"][j] for j in js),
+                                                 sum(per_job["base"][j] for j in js)))
+    for values in draws.values():
+        values.sort()
+    return {key: (values[int(0.025 * _DRAWS)], values[int(0.975 * _DRAWS) - 1])
+            for key, values in draws.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, help="checkout to compare with")
@@ -165,23 +194,26 @@ def main(argv=None) -> int:
     for j, job in enumerate(jobs):
         groups[job.split()[1]].append(j)
     groups["total"] = list(range(len(jobs)))
+    intervals = _intervals(cpu, groups, args.reps)
     report = {}
     print(f"{args.workload}: {len(jobs)} jobs x {args.reps} reps per checkout; "
-          "ratios are change / base")
-    print(f"  {'method':<12}{'jobs':>5}{'base min s':>12}{'min ratio':>11}"
-          f"{'base med s':>12}{'med ratio':>11}{'base iters':>12}{'change iters':>14}")
+          "ratios are change / base, with 95% bootstrap intervals over reps")
+    print(f"  {'method':<12}{'jobs':>5}{'base min s':>12}{'min ratio':>11}{'95% interval':>18}"
+          f"{'base med s':>12}{'med ratio':>11}{'95% interval':>18}"
+          f"{'base iters':>12}{'change iters':>14}")
     for group, js in groups.items():
-        row = {}
-        for stat, fn in (("min", min), ("median", statistics.median)):
+        row, cells = {}, ""
+        for stat, fn in STATS:
             base = sum(fn(cpu["base"][j]) for j in js)
             row[f"{stat}_base_s"] = base
             row[f"{stat}_ratio"] = _ratio(sum(fn(cpu["change"][j]) for j in js), base)
+            row[f"{stat}_ratio_ci"] = low, high = intervals[group, stat]
+            cells += (f"{base:>12.4f}{row[f'{stat}_ratio']:>11.3f}"
+                      f"{f'[{low:.3f}, {high:.3f}]':>18}")
         for name in workers:
             row[f"iters_{name}"] = sum(iters[name][j] for j in js)
         report[group] = row
-        print(f"  {group:<12}{len(js):>5}{row['min_base_s']:>12.4f}{row['min_ratio']:>11.3f}"
-              f"{row['median_base_s']:>12.4f}{row['median_ratio']:>11.3f}"
-              f"{row['iters_base']:>12}{row['iters_change']:>14}")
+        print(f"  {group:<12}{len(js):>5}{cells}{row['iters_base']:>12}{row['iters_change']:>14}")
     same = sum(sha["base"][j] is not None and sha["base"][j] == sha["change"][j]
                for j in range(len(jobs)))
     print(f"  outputs with the same bytes: {same}/{len(jobs)} jobs")

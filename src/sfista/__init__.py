@@ -6,7 +6,6 @@ methods, benchmark problem generators, and a benchmark harness.
 
 from .core import (
     CompositeProblem,
-    CountingOracle,
     OracleCounters,
     SmoothFunction,
     SolveOutput,
@@ -59,8 +58,8 @@ from .bench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositeProblem", "CountingOracle", "OracleCounters", "SmoothFunction",
-    "SolveOutput", "eval_phi",
+    "CompositeProblem", "OracleCounters", "SmoothFunction", "SolveOutput",
+    "eval_phi",
     "ConvexSet", "Simplex", "L1Ball", "Box", "BoxHyperplane",
     "project_simplex",
     "SfistaConfig", "SfistaTraceRow", "solve_sfista",

@@ -103,7 +103,7 @@ def build_subproblem(
 
     def grad(z, k):
         # the sum would broadcast a gradient of the wrong shape past
-        # CountingOracle's check, so it is checked here
+        # the solver's own shape check, so it is checked here
         g = np.asarray(base.grad(z, k), dtype=float)
         if g.shape != z.shape:
             raise ValueError(f"the grad oracle returned shape {g.shape}, expected {z.shape}")
@@ -134,7 +134,7 @@ def solve_areg(
     problem: CompositeProblem, config: ARegConfig, theta0: np.ndarray
 ) -> ARegOutput:
     """Run the regularization outer loop from theta0 in dom h."""
-    theta0 = check_start(problem, theta0, "theta0")
+    theta0, _ = check_start(problem, theta0, "theta0")
 
     start = time.monotonic()
     counters = OracleCounters()

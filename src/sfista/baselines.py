@@ -77,13 +77,12 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
             raise ValueError("fixed-step baselines need problem.known_L")
         gamma = step / problem.known_L
         L = 1.0 / gamma  # reported as L_final
-    oracle = run.oracle
-    pt = oracle.pt
+    pt = run.pt
 
     t = 1.0
-    # lifted points (CountingOracle.lift); a carried x_tilde image combines
-    # the fresh ones of y and y_prev, so it cannot drift
-    Y_prev = X_tilde = Y = oracle.lift(run.z0)
+    # lifted points (`Run.lift`); a carried x_tilde image combines the fresh
+    # ones of y and y_prev, so it cannot drift
+    Y_prev = X_tilde = Y = run.lift(run.z0)
     phi_prev = math.inf
     restarts = 0
     v = np.zeros(problem.dim)
@@ -93,21 +92,21 @@ def _run(method: str, problem: CompositeProblem, config: BaselineConfig, z0: np.
         j += 1
         x_tilde = X_tilde[pt]
         if gamma is None:  # doubling line search from a fixed x_tilde
-            point = (X_tilde, oracle.grad(X_tilde), oracle.f(X_tilde))
-            L, _, g_xt, Y, f_y, _, _ = line_search(oracle, lambda L: point, L, 2.0)
+            point = (X_tilde, run.grad(X_tilde), run.f(X_tilde))
+            L, _, g_xt, Y, f_y, _, _ = line_search(run, lambda L: point, L, 2.0)
             y = Y[pt]
             s = L * (x_tilde - y)
         else:
-            g_xt = oracle.grad(X_tilde)
-            y = oracle.prox(x_tilde - gamma * g_xt, gamma)
-            Y = oracle.lift(y)
+            g_xt = run.grad(X_tilde)
+            y = run.prox(x_tilde - gamma * g_xt, gamma)
+            Y = run.lift(y)
             s = (x_tilde - y) / gamma
         v, converged = certify(Y, g_xt, s)
         if converged:
             break
 
         if restart == "value":
-            phi_y = f_y + oracle.h_at_prox(y)
+            phi_y = f_y + run.h_at_prox(y)
             restarted = phi_y > phi_prev + _PHI_RISE_ULPS * math.ulp(phi_prev)
             phi_prev = phi_y
         else:

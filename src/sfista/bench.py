@@ -22,6 +22,7 @@ from .baselines import (
     solve_greedy_fista,
     solve_rada_fista,
 )
+from .core import StopConfig
 from .problems import InstanceSpec, make_instance
 from .rpf_sfista import SfistaConfig, solve_sfista
 
@@ -156,10 +157,7 @@ def run_benchmark(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
-    if not eps_hat > 0:
-        raise ValueError("eps_hat must be positive")
-    if not time_limit >= 0:
-        raise ValueError("time_limit must be nonnegative")
+    StopConfig(eps_hat=eps_hat, time_limit=time_limit)  # checks both
 
     records = []
     for spec in suite:

@@ -22,7 +22,6 @@ __all__ = [
     "CompositeProblem",
     "OracleCounters",
     "SolveOutput",
-    "CountingOracle",
     "smooth_of",
     "eval_phi",
     "grad_fd_check",
@@ -63,7 +62,7 @@ class SmoothFunction:
     image(z2).  A quadratic's gradient is affine too: its image holds it,
     and its grad returns that block.  Bind a CompositeProblem's f_eval and
     f_grad to this object's `f_eval` and `f_grad`: while both stay bound to
-    the same SmoothFunction, CountingOracle carries the image through the
+    the same SmoothFunction, `Run` carries the image through the
     solvers' affine combinations, so only prox outputs get a fresh one.
     """
 
@@ -203,35 +202,104 @@ def _projects_into_set(problem: CompositeProblem) -> bool:
     return type(s) in _LIBRARY_SETS and problem.h_prox == s.prox and problem.h_eval == s.indicator
 
 
-class CountingOracle:
-    """Wraps a CompositeProblem, incrementing counters on each oracle call.
+def eval_phi(problem: CompositeProblem, z: np.ndarray) -> float:
+    """Value of the composite objective f(z) + h(z); +inf iff h(z) = +inf."""
+    z = problem.check_dim(z)
+    hz = float(problem.h_eval(z))
+    if math.isinf(hz):
+        return math.inf
+    return float(problem.f_eval(z)) + hz
 
-    One instance per solve; the underlying problem stays immutable and
-    shareable across concurrent solves.  grad and prox outputs whose shape is
-    not (dim,) raise a ValueError naming the oracle.
+
+def grad_fd_check(problem: CompositeProblem, z: np.ndarray, step: float) -> float:
+    """Max coordinate-wise gap between f_grad and a central finite difference.
+
+    Returns the discrepancy; the caller decides what counts as a failure.
+    """
+    z = problem.check_dim(z)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    g = np.asarray(problem.f_grad(z), dtype=float)
+    worst = 0.0
+    for i in range(problem.dim):
+        e = np.zeros(problem.dim)
+        e[i] = step
+        fd = (problem.f_eval(z + e) - problem.f_eval(z - e)) / (2.0 * step)
+        worst = max(worst, abs(fd - g[i]))
+    return worst
+
+
+def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> tuple:
+    """(z0, h(z0)): z0 as a float vector of the problem's dimension, checked
+    to lie in dom h, and h there."""
+    z0 = problem.check_dim(z0)
+    h0 = float(problem.h_eval(z0))
+    if not h0 < math.inf:  # written so that NaN fails too
+        if math.isnan(h0):
+            raise ValueError(f"the h oracle returned NaN at {name}")
+        raise ValueError(f"{name} is infeasible: h({name}) = +inf")
+    return z0, h0
+
+
+@dataclass
+class StopConfig:
+    """The stop settings of rpf-sfista and the four comparison methods: the
+    residual tolerance, the iteration cap and the time cap in seconds."""
+
+    eps_hat: float = 1e-8
+    max_total_iters: int = 10**6
+    time_limit: float = 7200.0
+
+    def __post_init__(self):
+        # written as `not x > 0` so that NaN fails too
+        if not self.eps_hat > 0:
+            raise ValueError("eps_hat must be positive")
+        if not self.max_total_iters >= 0:
+            raise ValueError("max_total_iters must be nonnegative")
+        if not self.time_limit >= 0:
+            raise ValueError("time_limit must be nonnegative")
+
+
+class Run:
+    """The frame of one solve that rpf-sfista and the four comparison methods
+    share, so that all five count oracles and stop by one rule: the start
+    check, the counted oracles, the caps, the certificate and the output.
+    One instance per solve; the problem stays immutable and shareable across
+    concurrent solves.  A loop runs `while run.running(iters)` and leaves by
+    a break once `certify` reports convergence, or at a cap.  `where` names
+    the solver in errors; `mode` is the residual test's: 'relative' divides
+    ||v|| by 1 + ||grad f(z0)||, 'absolute' by 1.  h0 is h(z0).
 
     The solvers hold each point z as a lifted point P = lift(z): z followed
-    by its image (`smooth_of`).  The image is affine in z, so an affine
-    combination of lifted points is the lifted point of the same combination
-    of points, and one numpy expression moves a point with its image.  f and
-    grad are `value` and `grad` at the point and its carried image, and
-    count one evaluation each, whether the image was computed or carried.
-    For plain-callable or replaced oracles the image is empty and P is a
-    copy of z, so f and grad are the problem's own oracles.
+    by its image (`smooth_of`), and P[pt] is z.  The image is affine in z,
+    so an affine combination of lifted points is the lifted point of the
+    same combination of points, and one numpy expression moves a point with
+    its image.  f and grad are `value` and `grad` at the point and its
+    carried image, and count one evaluation each, whether the image was
+    computed or carried.  For plain-callable or replaced oracles the image
+    is empty and P is a copy of z, so f and grad are the problem's own
+    oracles.  grad and prox outputs whose shape is not (dim,) raise a
+    ValueError naming the oracle.
 
     `h_at_prox` is h at a prox output: 0.0, with no call, where h_prox and
     h_eval are one library set's projection and indicator; h_eval otherwise.
     """
 
-    def __init__(self, problem: CompositeProblem):
-        self.problem = problem
+    def __init__(self, where: str, problem: CompositeProblem, z0: np.ndarray,
+                 config: StopConfig, mode: str):
+        self.z0, self.h0 = check_start(problem, z0)
+        self.start = time.monotonic()
+        self.where, self.mode, self.config = where, mode, config
+        self.status = "converged"  # unless `running` stops the loop at a cap
+        self.residual = math.inf
+        self.denom = None
         self.counters = OracleCounters()
         self._shape = (problem.dim,)
-        self._h_prox = problem.h_prox
+        self._h_prox, self._h_eval = problem.h_prox, problem.h_eval
         self._prox_in_set = _projects_into_set(problem)
         smooth = smooth_of(problem)
         self._image, self._value, self._grad = smooth.image, smooth.value, smooth.grad
-        self.pt = slice(problem.dim)  # P[pt] is the point of the lifted point P
+        self.pt = slice(problem.dim)
         self._img = slice(problem.dim, None)
 
     def lift(self, z: np.ndarray) -> np.ndarray:
@@ -261,90 +329,9 @@ class CountingOracle:
             )
         return out
 
-    def h(self, z: np.ndarray) -> float:
-        return float(self.problem.h_eval(z))
-
     def h_at_prox(self, y: np.ndarray) -> float:
         """h at y, an output of `prox`."""
-        return 0.0 if self._prox_in_set else float(self.problem.h_eval(y))
-
-
-def eval_phi(problem: CompositeProblem, z: np.ndarray) -> float:
-    """Value of the composite objective f(z) + h(z); +inf iff h(z) = +inf."""
-    z = problem.check_dim(z)
-    hz = float(problem.h_eval(z))
-    if math.isinf(hz):
-        return math.inf
-    return float(problem.f_eval(z)) + hz
-
-
-def grad_fd_check(problem: CompositeProblem, z: np.ndarray, step: float) -> float:
-    """Max coordinate-wise gap between f_grad and a central finite difference.
-
-    Returns the discrepancy; the caller decides what counts as a failure.
-    """
-    z = problem.check_dim(z)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    g = np.asarray(problem.f_grad(z), dtype=float)
-    worst = 0.0
-    for i in range(problem.dim):
-        e = np.zeros(problem.dim)
-        e[i] = step
-        fd = (problem.f_eval(z + e) - problem.f_eval(z - e)) / (2.0 * step)
-        worst = max(worst, abs(fd - g[i]))
-    return worst
-
-
-def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> np.ndarray:
-    """z0 as a float vector of the problem's dimension, checked to lie in dom h."""
-    z0 = problem.check_dim(z0)
-    h0 = float(problem.h_eval(z0))
-    if not h0 < math.inf:  # written so that NaN fails too
-        if math.isnan(h0):
-            raise ValueError(f"the h oracle returned NaN at {name}")
-        raise ValueError(f"{name} is infeasible: h({name}) = +inf")
-    return z0
-
-
-@dataclass
-class StopConfig:
-    """The stop settings of rpf-sfista and the four comparison methods: the
-    residual tolerance, the iteration cap and the time cap in seconds."""
-
-    eps_hat: float = 1e-8
-    max_total_iters: int = 10**6
-    time_limit: float = 7200.0
-
-    def __post_init__(self):
-        # written as `not x > 0` so that NaN fails too
-        if not self.eps_hat > 0:
-            raise ValueError("eps_hat must be positive")
-        if not self.max_total_iters >= 0:
-            raise ValueError("max_total_iters must be nonnegative")
-        if not self.time_limit >= 0:
-            raise ValueError("time_limit must be nonnegative")
-
-
-class Run:
-    """The frame of one solve that rpf-sfista and the four comparison methods
-    share, so that all five stop by one rule: the start check, the oracle
-    count, the caps, the certificate and the output.  A loop runs `while
-    run.running(iters)` and leaves by a break once `certify` reports
-    convergence, or at a cap.  `where` names the solver in errors; `mode` is
-    the residual test's: 'relative' divides ||v|| by 1 + ||grad f(z0)||,
-    'absolute' by 1.
-    """
-
-    def __init__(self, where: str, problem: CompositeProblem, z0: np.ndarray,
-                 config: StopConfig, mode: str):
-        self.z0 = check_start(problem, z0)
-        self.start = time.monotonic()
-        self.oracle = CountingOracle(problem)
-        self.where, self.mode, self.config = where, mode, config
-        self.status = "converged"  # unless `running` stops the loop at a cap
-        self.residual = math.inf
-        self.denom = None
+        return 0.0 if self._prox_in_set else float(self._h_eval(y))
 
     def running(self, iters: int) -> bool:
         """Whether another iteration may start after `iters`: not at the
@@ -364,7 +351,7 @@ class Run:
         first call's g_xt, the gradient at the first x_tilde: z0, for
         rpf-sfista up to rounding.  grad f(y) enters no line-search test, so
         its NaN shows here, as a RuntimeError naming the oracle."""
-        g_y = self.oracle.grad(Y)
+        g_y = self.grad(Y)
         if self.denom is None:
             self.denom = 1.0 + norm(g_xt) if self.mode == "relative" else 1.0
         v = g_y - g_xt + s
@@ -372,7 +359,7 @@ class Run:
         if math.isnan(self.residual):
             raise RuntimeError(nan_message(
                 self.where, "the residual",
-                (("grad", g_xt), ("prox", Y[self.oracle.pt]), ("grad", g_y)),
+                (("grad", g_xt), ("prox", Y[self.pt]), ("grad", g_y)),
             ))
         return v, self.residual <= self.config.eps_hat
 
@@ -380,20 +367,20 @@ class Run:
         """The SolveOutput of the lifted last prox output Y, with a copy of y
         that holds no image alive.  Raises unless h(y) < inf: a NaN is the h
         oracle's, an inf that of the prox oracle that returned y."""
-        y = Y[self.oracle.pt].copy()
-        h = self.oracle.h(y)
+        y = Y[self.pt].copy()
+        h = float(self._h_eval(y))
         if not h < math.inf:
             if math.isnan(h):
                 raise RuntimeError(f"{self.where}: the h oracle returned NaN at the returned y")
             raise RuntimeError(f"{self.where}: the prox oracle returned a point where h is inf")
         return SolveOutput(
-            y=y, v=v, counters=self.oracle.counters, status=self.status,
+            y=y, v=v, counters=self.counters, status=self.status,
             residual=self.residual, runtime_s=time.monotonic() - self.start, **fields,
         )
 
 
 def line_search(
-    oracle: CountingOracle,
+    run: Run,
     trial_point: Callable[[float], tuple],
     L: float,
     growth: float,
@@ -402,28 +389,30 @@ def line_search(
     satisfies ell_f(y; x_tilde) + (1-chi) L ||y - x_tilde||^2 / 4 >= f(y).
 
     trial_point(L) returns (x_tilde, grad f(x_tilde), f(x_tilde)) for the
-    current L, with x_tilde lifted (CountingOracle.lift).  Each trial y is
-    lifted, which computes its image afresh.  Returns (L, x_tilde, grad, y,
-    f(y), ell_f(y; x_tilde), y - x_tilde) for the accepted L, x_tilde and y lifted.
-    Raises RuntimeError at the first NaN test value, naming the oracle that
-    produced it, and when L passes 1e30.
+    current L, with x_tilde lifted (`Run.lift`).  Each trial y is lifted,
+    which computes its image afresh.  Returns (L, x_tilde, grad, y, f(y),
+    ell_f(y; x_tilde), ||y - x_tilde||^2) for the accepted L, x_tilde and y
+    lifted.  Accepts only a finite test value: raises RuntimeError at the
+    first NaN or infinite one, naming the oracle that produced it, and when
+    L passes 1e30.
     """
     while True:
         X_tilde, g, f_xt = trial_point(L)
-        x_tilde = X_tilde[oracle.pt]
-        y = oracle.prox(x_tilde - g / L, 1.0 / L)
-        Y = oracle.lift(y)
-        f_y = oracle.f(Y)
+        x_tilde = X_tilde[run.pt]
+        y = run.prox(x_tilde - g / L, 1.0 / L)
+        Y = run.lift(y)
+        f_y = run.f(Y)
         d = y - x_tilde
         ell = f_xt + float(g @ d)
-        test = ell - f_y + (1.0 - _CHI) * L * float(d @ d) / 4.0
-        if test >= -_LS_SLACK * (1.0 + abs(f_y)):
-            return L, X_tilde, g, Y, f_y, ell, d
-        if math.isnan(test):
+        dd = float(d @ d)
+        test = ell - f_y + (1.0 - _CHI) * L * dd / 4.0
+        if not math.isfinite(test):  # f(y) is finite where test is
             raise RuntimeError(nan_message(
                 "line search", "the acceptance test",
                 (("grad", g), ("f", f_xt), ("prox", y), ("f", f_y)),
             ))
+        if test >= -_LS_SLACK * (1.0 + abs(f_y)):
+            return L, X_tilde, g, Y, f_y, ell, dd
         L *= growth
         if L > _L_OVERFLOW:
             raise RuntimeError(
@@ -432,13 +421,17 @@ def line_search(
 
 
 def nan_message(where: str, what: str, outputs) -> str:
-    """Error message for a NaN `what` seen in `where`, naming the oracle.
+    """Error message for a NaN or infinite `what` seen in `where`, naming the oracle.
 
     outputs are (oracle name, output) pairs in call order, so a NaN is blamed
-    on the first oracle that produced it rather than on one that merely
-    received it.  Call it on the error path only.
+    on the first oracle that produced one rather than on one that merely
+    received it, and failing that an inf (of either sign) on the first
+    oracle that produced one.  Call it on the error path only.
     """
     for name, value in outputs:
         if np.isnan(value).any():
             return f"{where}: the {name} oracle returned NaN"
-    return f"{where}: {what} is NaN (an oracle returned inf)"
+    for name, value in outputs:
+        if np.isinf(value).any():
+            return f"{where}: the {name} oracle returned inf"
+    return f"{where}: {what} is not finite"

@@ -333,10 +333,7 @@ def opnorm_sq(
     steps, with tol = _LANCZOS_TOL.  Returns 0 for the zero operator.
     """
     v = np.random.default_rng(0).standard_normal(n)  # a fixed start: bit-reproducible
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        return 0.0
-    v /= nv
+    v /= np.linalg.norm(v)
     v_prev = np.zeros(n)
     alphas: list = []
     betas: list = []

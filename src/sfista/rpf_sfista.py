@@ -103,33 +103,31 @@ class SfistaTraceRow:
 
 
 def _step_curvature(
-    f_y: float, ell_y: float, d: np.ndarray, x_tilde: np.ndarray, fallback: float
+    f_y: float, ell_y: float, dd: float, x_tilde: np.ndarray, fallback: float
 ) -> float:
-    """4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) ||d||^2), the curvature of f
-    along d = y - x_tilde and the least L the line-search test accepts for
-    it: the bootstrap mu and the floor.  The fallback where y is
-    numerically x_tilde or the gap is within the line-search slack (a
+    """4 [f(y) - ell_f(y; x_tilde)] / ((1-chi) dd), the curvature of f along
+    y - x_tilde for dd = ||y - x_tilde||^2 and the least L the line-search
+    test accepts for it: the bootstrap mu and the floor.  The fallback where
+    y is numerically x_tilde or the gap is within the line-search slack (a
     stationary start, a linear f, roundoff)."""
-    nd2 = float(d @ d)
     gap = f_y - ell_y
-    if (math.sqrt(nd2) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
+    if (math.sqrt(dd) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
             or gap <= _LS_SLACK * (1.0 + abs(f_y))):
         return fallback
-    return 4.0 * gap / ((1.0 - _CHI) * nd2)
+    return 4.0 * gap / ((1.0 - _CHI) * dd)
 
 
 def restart_fires(
-    xi: np.ndarray, x0: np.ndarray, d: np.ndarray, x_tilde: np.ndarray, A: float, L: float
+    xi: np.ndarray, x0: np.ndarray, dd: float, x_tilde: np.ndarray, A: float, L: float
 ) -> bool:
-    """Restart predicate: ||xi - x0||^2 < chi A L ||d||^2 for d = y - x_tilde.
+    """Restart predicate: ||xi - x0||^2 < chi A L dd for dd = ||y - x_tilde||^2.
 
-    A near-stationary y (||d|| at roundoff scale) makes the right-hand side
-    vanish, so a restart would be spurious: it never fires.
+    A near-stationary y (||y - x_tilde|| at roundoff scale) makes the
+    right-hand side vanish, so a restart would be spurious: it never fires.
     """
-    nd = norm(d)
-    if nd <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)):
+    if math.sqrt(dd) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)):
         return False
-    return norm(xi - x0) ** 2 < _CHI * A * L * nd * nd
+    return norm(xi - x0) ** 2 < _CHI * A * L * dd
 
 
 def solve_sfista(
@@ -147,17 +145,16 @@ def solve_sfista(
     growth of A and tau, and when h is inf or NaN at the returned y.
     """
     run = Run("RPF-SFISTA", problem, z0, config, config.residual_mode)
-    oracle = run.oracle
-    pt = oracle.pt
+    pt = run.pt
 
     trace: Optional[List[SfistaTraceRow]] = [] if config.trace else None
     mu = config.mu0  # None until bootstrapped
     cycle, j, total_iters = 1, 1, 0
     A, tau, L, a = 0.0, 1.0, _L_FIRST, 0.0
-    # lifted points (CountingOracle.lift): the momentum point x, the previous
-    # y, the best point xi and the cycle's start x0; Y is the last prox output
-    X = Y_prev = XI = X0 = Y = oracle.lift(run.z0)
-    phi_xi = oracle.f(X) + oracle.h(run.z0)
+    # lifted points (`Run.lift`): the momentum point x, the previous y, the
+    # best point xi and the cycle's start x0; Y is the last prox output
+    X = Y_prev = XI = X0 = Y = run.lift(run.z0)
+    phi_xi = run.f(X) + run.h0
     # whether xi has left the cycle's start point (always true in exact
     # arithmetic after j = 1, by strict descent of the first prox step)
     xi_moved = False
@@ -174,23 +171,23 @@ def solve_sfista(
                 f"j = {j} (A = {A:.3g}, tau = {tau:.3g}, L = {L:.3g})"
             )
         X_tilde = (A * Y_prev + a * X) / (A + a)
-        f_xt = oracle.f(X_tilde)
-        return X_tilde, oracle.grad(X_tilde), f_xt
+        f_xt = run.f(X_tilde)
+        return X_tilde, run.grad(X_tilde), f_xt
 
     running, certify = run.running, run.certify
     while running(total_iters):
         total_iters += 1
 
-        L, X_tilde, g_xt, Y, f_y, ell_y, d = line_search(oracle, trial_point, L, _BETA)
+        L, X_tilde, g_xt, Y, f_y, ell_y, dd = line_search(run, trial_point, L, _BETA)
         x_tilde, y = X_tilde[pt], Y[pt]
         if total_iters == 1:
             # the curvature along the first step: mu's bootstrap (a0 and y1
             # never depend on mu, as A0 = 0) and every cycle's floor
-            floor = _step_curvature(f_y, ell_y, d, x_tilde, _L_FIRST)
+            floor = _step_curvature(f_y, ell_y, dd, x_tilde, _L_FIRST)
             mu = floor if mu is None else mu
 
         # the best-point tie (phi(y) equal to the incumbent) keeps y
-        phi_y = f_y + oracle.h_at_prox(y)
+        phi_y = f_y + run.h_at_prox(y)
         if phi_y <= phi_xi:
             XI, phi_xi, xi_moved = Y, phi_y, True
         # An image carried in x does not drift, so it needs no refresh.
@@ -215,7 +212,7 @@ def solve_sfista(
         # to decrease phi -- impossible in exact arithmetic -- so the iterates
         # are at the numerical optimum and a restart would re-enter the same
         # cycle forever.
-        restart = xi_moved and restart_fires(XI[pt], X0[pt], d, x_tilde, A, L)
+        restart = xi_moved and restart_fires(XI[pt], X0[pt], dd, x_tilde, A, L)
         if trace is not None:
             trace.append(SfistaTraceRow(
                 cycle=cycle, j=j, L=L, A=A, tau=tau, a=a, tau_prev=tau_prev,

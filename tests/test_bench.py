@@ -113,6 +113,14 @@ def test_csv_rejects_bad_header():
         parse_csv("a,b,c\n1,2,3\n")
 
 
+def test_csv_skips_blank_rows_and_rejects_a_short_one():
+    text = emit_table([_record(), _record(method="fista-bt")], "csv")
+    header, first, second = text.splitlines()
+    assert parse_csv(f"{header}\n\n{first}\n\n{second}\n") == parse_csv(text)
+    with pytest.raises(ValueError, match="expected 13 fields, got 12"):
+        parse_csv(f"{header}\n{first.rsplit(',', 1)[0]}\n")
+
+
 def test_markdown_nonconverged_cell():
     text = emit_table([_record(status="iter_cap", rel_residual=1.3e-7)], "markdown")
     assert "*/1.3e-07" in text
@@ -309,6 +317,19 @@ def test_atr_from_records():
     records[1] = _record(method="fista-bt", status="iter_cap", runtime_s=1.0)
     assert atr_from_records(records, baseline="fista-bt", time_limit=100.0) \
         == pytest.approx(100.0)
+
+
+def test_atr_from_records_skips_instances_the_baseline_did_not_run():
+    other = "qp_box-m40-n80-s1"
+    records = [
+        _record(method="rpf-sfista", runtime_s=1.0),
+        _record(method="fista-bt", runtime_s=4.0),
+        _record(instance_id=other, method="rpf-sfista", runtime_s=1.0),
+        _record(instance_id=other, method="rada", runtime_s=0.5),
+    ]
+    # the second instance has no fista-bt row, so only the first is paired
+    assert atr_from_records(records, baseline="fista-bt") == pytest.approx(4.0)
+    assert atr_from_records(records) == pytest.approx((4.0 + 0.5) / 2)
 
 
 def test_cli_atr_rejects_a_nan_or_negative_runtime(tmp_path, monkeypatch, capsys):

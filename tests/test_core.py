@@ -23,7 +23,6 @@ from sfista.baselines import (
 from sfista.bench import METHODS, desk_suite
 from sfista.core import (
     CompositeProblem,
-    CountingOracle,
     OracleCounters,
     Run,
     SmoothFunction,
@@ -31,6 +30,7 @@ from sfista.core import (
     check_start,
     eval_phi,
     grad_fd_check,
+    nan_message,
     norm,
 )
 from sfista.problems import make_instance
@@ -77,18 +77,18 @@ def test_eval_phi_finite_and_infinite():
 
 def test_counting_oracle_counts():
     prob = _quadratic_problem(2)
-    oracle = CountingOracle(prob)
+    run = Run("test", prob, np.zeros(2), StopConfig(), "absolute")
     z = np.ones(2)
-    P = oracle.lift(z)
-    oracle.f(P)
-    oracle.f(P)
-    oracle.grad(P)
-    oracle.prox(z, 0.5)
-    oracle.prox(z, 0.5)
-    oracle.prox(z, 0.5)
-    assert oracle.counters.f_evals == 2
-    assert oracle.counters.grad_evals == 1
-    assert oracle.counters.prox_evals == 3
+    P = run.lift(z)
+    run.f(P)
+    run.f(P)
+    run.grad(P)
+    run.prox(z, 0.5)
+    run.prox(z, 0.5)
+    run.prox(z, 0.5)
+    assert run.counters.f_evals == 2
+    assert run.counters.grad_evals == 1
+    assert run.counters.prox_evals == 3
 
 
 def test_counters_merge():
@@ -130,7 +130,7 @@ def test_residual_denominator():
     for mode, g, denom in [("relative", [1.0, 0.0], 2.0), ("relative", [3.0, 4.0], 6.0),
                            ("relative", [0.0, 0.0], 1.0), ("absolute", [3.0, 4.0], 1.0)]:
         run = Run("test", problem, np.zeros(2), StopConfig(), mode)
-        Y = run.oracle.lift(np.ones(2))
+        Y = run.lift(np.ones(2))
         for g_xt in (np.array(g), 10.0 * np.array(g) + 1.0):
             v, _ = run.certify(Y, g_xt, np.zeros(2))
             assert run.residual == norm(v) / denom
@@ -204,6 +204,37 @@ def test_nan_oracle_fails_fast_in_fixed_step(solve, field_name, name, k):
     with pytest.raises(RuntimeError, match=f"the {name} oracle returned NaN"):
         solve(problem, BaselineConfig(eps_hat=1e-13), np.zeros(problem.dim))
     assert counts["prox"] - counts["onset"] <= 1
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p, z0: solve_sfista(p, SfistaConfig(), z0),
+    lambda p, z0: solve_fista_bt(p, BaselineConfig(), z0),
+    lambda p, z0: solve_fista_restart(p, BaselineConfig(), z0),
+], ids=["rpf-sfista", "fista-bt", "fista-r"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+inf", "-inf"])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 40])
+def test_infinite_f_fails_in_line_search(solve, sign, k):
+    # an infinite f(y) made the acceptance slack -inf and an infinite
+    # f(x_tilde) the test value +inf, so the step was accepted and the
+    # solve went on to converge with the inf unreported
+    base = _ill_conditioned_box_qp()
+    calls = [0]
+
+    def f_eval(z):
+        calls[0] += 1
+        return sign * math.inf if calls[0] == k + 1 else base.f_eval(z)
+
+    problem = replace(base, f_eval=f_eval)
+    with pytest.raises(RuntimeError, match="line search: the f oracle returned inf"):
+        solve(problem, np.zeros(problem.dim))
+
+
+def test_nan_message_names_nan_then_inf_then_the_value():
+    nan, inf, ok = np.array([math.nan]), np.array([-math.inf]), np.ones(1)
+    assert nan_message("w", "v", (("f", inf), ("grad", nan))) == "w: the grad oracle returned NaN"
+    assert nan_message("w", "v", (("f", ok), ("prox", inf), ("grad", inf))) == \
+        "w: the prox oracle returned inf"
+    assert nan_message("w", "v", (("f", ok), ("grad", ok))) == "w: v is not finite"
 
 
 @pytest.mark.parametrize("solve", [
@@ -348,12 +379,12 @@ def test_norm_is_numpys_norm_bit_for_bit(n, seed, scale, specials, step):
 
 
 @pytest.mark.parametrize("family,kind", [("qp_box", BoxHyperplane), ("lasso", L1Ball)])
-@pytest.mark.parametrize("method,at_start", [("rpf-sfista", 2), ("fista-r", 1)])
+@pytest.mark.parametrize("method,at_start", [("rpf-sfista", 1), ("fista-r", 1)])
 def test_library_set_is_checked_at_the_start_and_the_end_only(
         monkeypatch, family, kind, method, at_start):
     """With h_prox and h_eval a library set's prox and indicator, h is 0 at
-    every prox output and `contains` runs only on z0 (check_start, and
-    rpf-sfista's phi(z0)) and on the returned y.  The same set behind a plain
+    every prox output and `contains` runs only on z0 (check_start, whose
+    h(z0) rpf-sfista's phi(z0) reuses) and on the returned y.  The same set behind a plain
     h_eval is called at every iteration (fista-r: each one that does not
     converge), with the same iterates."""
     problem, z0 = make_instance(desk_suite(family, 42, 1)[0])

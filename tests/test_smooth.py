@@ -3,7 +3,7 @@ quadratic's gradient.
 
 Every generator family builds its f as a SmoothFunction whose image is one
 flat ndarray, affine in z, and the solvers hold each point with its image
-appended (CountingOracle.lift).  A quadratic's image holds its gradient
+appended (`Run.lift`).  A quadratic's image holds its gradient
 (the lasso's ends with it; a QP's is its gradient), and an A-REG subproblem
 keeps its base image, so an affine combination of points carries both and
 only prox outputs need a fresh image.
@@ -32,8 +32,9 @@ from sfista.baselines import (
 )
 from sfista.bench import METHODS, desk_suite
 from sfista.core import (
-    CountingOracle,
+    Run,
     SmoothFunction,
+    StopConfig,
     eval_phi,
     smooth_of,
 )
@@ -77,6 +78,11 @@ def _plain(problem):
     return replace(problem, f_eval=lambda z: f_eval(z), f_grad=lambda z: f_grad(z))
 
 
+def _run(problem, z0):
+    """The frame of a solve from the feasible z0; its oracles lift and count any point."""
+    return Run("test", problem, z0, StopConfig(), "absolute")
+
+
 def _scale(smooth, dim):
     """(||c||, ||K||) for the affine image(z) = K z + c.
 
@@ -100,10 +106,10 @@ def test_lifted_point_layout(family):
     # z, then its image; for plain callables the image is empty, so the
     # lifted point is a copy of z
     problem, z0 = _instance(family)
-    P = CountingOracle(problem).lift(z0)
+    P = _run(problem, z0).lift(z0)
     assert P.shape == (problem.dim + _IMAGE_LENGTH[family],)
     assert P[:problem.dim].tobytes() == z0.tobytes()
-    P = CountingOracle(_plain(problem)).lift(z0)
+    P = _run(_plain(problem), z0).lift(z0)
     assert P.tobytes() == z0.tobytes() and not np.shares_memory(P, z0)
 
 
@@ -111,18 +117,18 @@ def test_lifted_point_layout(family):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_fused_oracle_equals_separate_calls(family, data):
-    problem, _ = _instance(family)
+    problem, z0 = _instance(family)
     assert isinstance(problem.f_eval.__self__, SmoothFunction)
     assert smooth_of(problem) is problem.f_eval.__self__
     z = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=problem.dim,
                                     max_size=problem.dim)))
-    oracle = CountingOracle(problem)
-    P = oracle.lift(z)
-    assert P[oracle.pt].tobytes() == z.tobytes()
-    f = oracle.f(P)
-    assert (oracle.counters.f_evals, oracle.counters.grad_evals) == (1, 0)
-    g = oracle.grad(P)
-    assert (oracle.counters.f_evals, oracle.counters.grad_evals) == (1, 1)
+    run = _run(problem, z0)
+    P = run.lift(z)
+    assert P[run.pt].tobytes() == z.tobytes()
+    f = run.f(P)
+    assert (run.counters.f_evals, run.counters.grad_evals) == (1, 0)
+    g = run.grad(P)
+    assert (run.counters.f_evals, run.counters.grad_evals) == (1, 1)
     assert float(f).hex() == float(problem.f_eval(z)).hex()
     assert g.tobytes() == np.asarray(problem.f_grad(z), dtype=float).tobytes()
 
@@ -202,7 +208,7 @@ def test_carried_images_stay_within_roundoff(family, method, eps, monkeypatch):
     n = problem.dim
     c, nK = _scale(smooth, n)
     worst = []
-    grad = CountingOracle.grad
+    grad = Run.grad
 
     def checked_grad(self, P):
         z = P[:n]
@@ -210,7 +216,7 @@ def test_carried_images_stay_within_roundoff(family, method, eps, monkeypatch):
         worst.append(gap / (_EPS * (c + nK * float(np.linalg.norm(z)))))
         return grad(self, P)
 
-    monkeypatch.setattr(CountingOracle, "grad", checked_grad)
+    monkeypatch.setattr(Run, "grad", checked_grad)
     if method == "rpf-sfista":
         out = solve_sfista(problem, SfistaConfig(eps_hat=eps), z0)
     else:
