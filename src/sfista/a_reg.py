@@ -19,9 +19,10 @@ import numpy as np
 from .core import (
     CompositeProblem,
     OracleCounters,
+    Run,
     SmoothFunction,
     SolveOutput,
-    check_start,
+    StopConfig,
     norm,
     smooth_of,
 )
@@ -56,11 +57,7 @@ class ARegConfig:
     time_limit: float = 7200.0
 
     def __post_init__(self):
-        # written as `not x > 0` so that NaN fails too
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if not self.time_limit >= 0:
-            raise ValueError("time_limit must be nonnegative")
+        StopConfig(eps_hat=self.eps, time_limit=self.time_limit)  # checks both
 
 
 @dataclass
@@ -92,8 +89,8 @@ def build_subproblem(
     proximal term at the point itself.  Its known_L, the base's plus delta,
     is computed on first read, so building it never reads the base's.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:  # written so that NaN fails too
+        raise ValueError("delta must be positive and finite")
     theta = problem.check_dim(theta)
     base = smooth_of(problem)
 
@@ -131,38 +128,30 @@ def outer_residual(
 
 
 def solve_areg(
-    problem: CompositeProblem, config: ARegConfig, theta0: np.ndarray
+    problem: CompositeProblem, config: ARegConfig, z0: np.ndarray
 ) -> ARegOutput:
-    """Run the regularization outer loop from theta0 in dom h."""
-    theta0, _ = check_start(problem, theta0, "theta0")
-
-    start = time.monotonic()
-    counters = OracleCounters()
+    """Run the regularization outer loop from z0 in dom h on a `core.Run`, which
+    caps the outer rounds and holds the status and the inner solves' counters."""
+    run = Run("A-REG", problem, z0, StopConfig(config.eps, _MAX_OUTER_ITERS, config.time_limit),
+              "absolute")
     inner_outputs: List[SolveOutput] = []
     trace: List[ARegTraceRow] = []
 
     delta = _DELTA0
-    theta = theta0
-    status = "iter_cap"
-    w = theta0
+    theta = w = run.z0
     r = np.full(problem.dim, math.inf)
 
-    for _ in range(_MAX_OUTER_ITERS):
-        elapsed = time.monotonic() - start
-        if elapsed > config.time_limit:
-            status = "time_cap"
-            break
-
+    while run.running(len(trace)):
         sub = build_subproblem(problem, delta, theta)
         inner_cfg = SfistaConfig(
             mu0=_B * delta,
             eps_hat=config.eps / 6.0,
             residual_mode="absolute",
-            time_limit=max(config.time_limit - elapsed, 0.0),
+            time_limit=max(config.time_limit - (time.monotonic() - run.start), 0.0),
         )
         out = solve_sfista(sub, inner_cfg, theta)
         inner_outputs.append(out)
-        counters.merge(out.counters)
+        run.counters.merge(out.counters)
 
         w = out.y
         r = outer_residual(out.v, delta, theta, w)
@@ -170,15 +159,14 @@ def solve_areg(
         trace.append(ARegTraceRow(delta=delta, r_norm=norm(r)))
 
         if out.status != "converged":
-            status = out.status
+            run.status = out.status
             break
         if trace[-1].r_norm <= config.eps:
-            status = "converged"
             break
         delta = delta / 2.0
 
     return ARegOutput(
-        w=w, r=r, outer_iters=len(trace), counters=counters, status=status,
+        w=w, r=r, outer_iters=len(trace), counters=run.counters, status=run.status,
         inner_outputs=inner_outputs, trace=trace,
-        runtime_s=time.monotonic() - start,
+        runtime_s=time.monotonic() - run.start,
     )

@@ -157,6 +157,8 @@ def run_benchmark(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods repeat: {list(methods)}")
     StopConfig(eps_hat=eps_hat, time_limit=time_limit)  # checks both
 
     records = []

@@ -229,22 +229,23 @@ def grad_fd_check(problem: CompositeProblem, z: np.ndarray, step: float) -> floa
     return worst
 
 
-def check_start(problem: CompositeProblem, z0: np.ndarray, name: str = "z0") -> tuple:
+def check_start(problem: CompositeProblem, z0: np.ndarray) -> tuple:
     """(z0, h(z0)): z0 as a float vector of the problem's dimension, checked
     to lie in dom h, and h there."""
     z0 = problem.check_dim(z0)
     h0 = float(problem.h_eval(z0))
     if not h0 < math.inf:  # written so that NaN fails too
         if math.isnan(h0):
-            raise ValueError(f"the h oracle returned NaN at {name}")
-        raise ValueError(f"{name} is infeasible: h({name}) = +inf")
+            raise ValueError("the h oracle returned NaN at z0")
+        raise ValueError("z0 is infeasible: h(z0) = +inf")
     return z0, h0
 
 
 @dataclass
 class StopConfig:
-    """The stop settings of rpf-sfista and the four comparison methods: the
-    residual tolerance, the iteration cap and the time cap in seconds."""
+    """The stop settings of rpf-sfista, the four comparison methods and
+    A-REG's outer loop: the residual tolerance, the iteration cap (A-REG's
+    outer rounds) and the time cap in seconds."""
 
     eps_hat: float = 1e-8
     max_total_iters: int = 10**6
@@ -264,6 +265,7 @@ class Run:
     """The frame of one solve that rpf-sfista and the four comparison methods
     share, so that all five count oracles and stop by one rule: the start
     check, the counted oracles, the caps, the certificate and the output.
+    A-REG's outer loop shares its start check, caps, status and counters.
     One instance per solve; the problem stays immutable and shareable across
     concurrent solves.  A loop runs `while run.running(iters)` and leaves by
     a break once `certify` reports convergence, or at a cap.  `where` names

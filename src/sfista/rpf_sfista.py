@@ -102,6 +102,11 @@ class SfistaTraceRow:
         return self.gamma_y + float(self.s @ d) + self.mu / 4.0 * float(d @ d)
 
 
+def _stationary(dd: float, x_tilde: np.ndarray) -> bool:
+    """Whether y is numerically x_tilde: ||y - x_tilde|| = sqrt(dd) at roundoff scale."""
+    return math.sqrt(dd) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
+
+
 def _step_curvature(
     f_y: float, ell_y: float, dd: float, x_tilde: np.ndarray, fallback: float
 ) -> float:
@@ -111,8 +116,7 @@ def _step_curvature(
     y is numerically x_tilde or the gap is within the line-search slack (a
     stationary start, a linear f, roundoff)."""
     gap = f_y - ell_y
-    if (math.sqrt(dd) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde))
-            or gap <= _LS_SLACK * (1.0 + abs(f_y))):
+    if _stationary(dd, x_tilde) or gap <= _LS_SLACK * (1.0 + abs(f_y)):
         return fallback
     return 4.0 * gap / ((1.0 - _CHI) * dd)
 
@@ -125,9 +129,7 @@ def restart_fires(
     A near-stationary y (||y - x_tilde|| at roundoff scale) makes the
     right-hand side vanish, so a restart would be spurious: it never fires.
     """
-    if math.sqrt(dd) <= _STATIONARY_RTOL * (1.0 + norm(x_tilde)):
-        return False
-    return norm(xi - x0) ** 2 < _CHI * A * L * dd
+    return not _stationary(dd, x_tilde) and norm(xi - x0) ** 2 < _CHI * A * L * dd
 
 
 def solve_sfista(

@@ -12,7 +12,9 @@ from sfista.a_reg import (
     outer_residual,
     solve_areg,
 )
+from sfista.bench import desk_suite
 from sfista.core import CompositeProblem, eval_phi, grad_fd_check
+from sfista.problems import make_instance
 from sfista.prox_ops import Box
 
 
@@ -92,8 +94,10 @@ def test_subproblem_gradient_matches_fd():
 
 def test_subproblem_rejects_bad_delta():
     base = _free(lambda z: 0.0, lambda z: np.zeros(2), dim=2)
-    with pytest.raises(ValueError):
-        build_subproblem(base, 0.0, np.zeros(2))
+    # a NaN or infinite delta would give a subproblem whose f(z0) is NaN
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            build_subproblem(base, delta, np.zeros(2))
 
 
 @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
@@ -184,6 +188,16 @@ def test_areg_inclusion_certificate():
         u = rng.uniform(-1.0, 1.0, size=20)
         scale = 1.0 + np.linalg.norm(normal) * np.linalg.norm(u - out.w)
         assert float(normal @ (u - out.w)) <= 1e-8 * scale
+
+
+def test_areg_stops_at_the_outer_round_cap(monkeypatch):
+    # at eps 1e-12 this lasso needs more than two rounds, each of which converges
+    monkeypatch.setattr(a_reg, "_MAX_OUTER_ITERS", 2)
+    problem, z0 = make_instance(desk_suite("lasso", 42, 1)[0])
+    out = solve_areg(problem, ARegConfig(eps=1e-12), z0)
+    assert out.status == "iter_cap"
+    assert out.outer_iters == len(out.inner_outputs) == 2
+    assert all(inner.status == "converged" for inner in out.inner_outputs)
 
 
 def test_areg_infeasible_start_raises():

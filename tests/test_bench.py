@@ -191,6 +191,18 @@ def test_run_benchmark_rejects_no_methods_before_building(monkeypatch, capsys):
     assert builds == []
 
 
+def test_run_benchmark_rejects_a_repeated_method_before_building(monkeypatch, capsys):
+    """A repeated method would write two rows per instance, of which the ATR
+    keeps one: `bench run --methods greedy,greedy` is a usage error."""
+    builds = []
+    monkeypatch.setattr("sfista.bench.make_instance", builds.append)
+    with pytest.raises(ValueError, match="methods repeat"):
+        run_benchmark(_tiny_suite(), ["rpf-sfista", "greedy", "rpf-sfista"], 1e-8, 60.0)
+    err = _usage_error(capsys, bench_main, ["run", "--family", "lasso", "--methods", "greedy,greedy"])
+    assert "error: methods repeat: ['greedy', 'greedy']" in err
+    assert builds == []
+
+
 def test_run_benchmark_error_captured_per_row():
     bad = InstanceSpec("qp_simplex", 10, 10, 0, alpha=1000.0,
                        mu_target=50.0, L_target=1e2)  # calibration infeasible

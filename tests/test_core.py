@@ -342,7 +342,7 @@ def test_nan_h_at_the_returned_y_raises(method, where):
 def test_nan_h_at_the_start_raises():
     with pytest.raises(ValueError, match="the h oracle returned NaN at z0"):
         check_start(_nan_h_near_zero(), np.zeros(1))
-    with pytest.raises(ValueError, match="the h oracle returned NaN at theta0"):
+    with pytest.raises(ValueError, match="the h oracle returned NaN at z0"):
         solve_areg(_nan_h_near_zero(), ARegConfig(), np.zeros(1))
 
 
